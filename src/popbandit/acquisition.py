@@ -41,10 +41,6 @@ def beta(t: int, cfg: AcquisitionConfig) -> float:
     return max(0.0, cfg.c1 + cfg.c2 * math.log(t))
 
 
-def _to_unit(x, params):
-    return np.array([(v - p.lower) / (p.upper - p.lower) for v, p in zip(x, params)])
-
-
 def _from_unit(u, params):
     return np.array([p.lower + v * (p.upper - p.lower) for v, p in zip(u, params)])
 

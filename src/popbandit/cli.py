@@ -8,7 +8,8 @@ Subcommands:
 
 Configs are JSON, outputs are CSV. Floats are printed with 10 significant
 digits. Files are written to a temp path and renamed on success, so a failed
-run leaves no partial output. POPBANDIT_THREADS caps parallel seeds.
+run leaves no partial output. POPBANDIT_THREADS caps parallel seeds; each
+seed worker runs on one BLAS thread.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import tempfile
 
 import numpy as np
 
-from . import gp
+from . import _blas, gp
 from .acquisition import AcquisitionConfig
 from .harness import (
     OBJECTIVES,
@@ -35,7 +36,7 @@ from .harness import (
     sincos_objective,
 )
 from .space import SearchSpace
-from .strategies import StrategyKind
+from .strategies import StrategyKind, check_truncation
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -95,6 +96,10 @@ def _parse_run_config(cfg: dict, strategy_field: str = "strategy"):
     B = int(_require(cfg, "B"))
     T_rounds = int(_require(cfg, "T_rounds"))
     quantile = float(cfg.get("quantile", 0.25))
+    try:
+        check_truncation(B, quantile)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     acq = AcquisitionConfig(**cfg.get("acquisition", {}))
     objective = OBJECTIVES[objective_name](T=T_rounds, **cfg.get("objective_args", {}))
     return space, objective, seeds, B, T_rounds, quantile, acq
@@ -119,7 +124,10 @@ def _run_seeds(space, objective, strategy_name, B, T_rounds, quantile, acq, seed
     workers = _max_workers(len(seeds))
     if workers == 1:
         return [_run_one_seed(j) for j in jobs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    # One BLAS thread per worker keeps workers x BLAS threads within the cores.
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
+                                                initializer=_blas.set_threads,
+                                                initargs=(1,)) as pool:
         return list(pool.map(_run_one_seed, jobs))
 
 

@@ -6,6 +6,17 @@ multiplied by a time-decay factor (1 - eps)^(|t-t'|/2). Hyperparameters are fit
 by MAP (uniform prior over a bound box, so effectively bounded MLE) using
 projected gradient ascent with analytic gradients.
 
+The likelihood and its gradient share one factorization (GPML section 5.4.1):
+`_factor` returns the LML together with the Cholesky factor L and
+alpha = K^-1 y, and `_grad` builds the gradient from those. The ascent keeps
+the accepted point's L and alpha, so it factors K once per LML evaluation and
+never again for the gradient. The fit runs on one OpenBLAS thread (see
+`_blas`): its matrices are at most SLIDING_WINDOW wide and factored one after
+another, where a thread pool only adds hand-off cost. The posterior's Cholesky
+runs on one thread too, because OpenBLAS rounds a factorization of 128 or more
+rows differently on different thread counts; so no result depends on the
+thread count. The posterior's products over many candidates keep their threads.
+
 Continuous inputs are expected pre-scaled to the unit hypercube. Models with no
 categorical columns use only the continuous-time factor (sigma2, eps2, lambda
 are inert); this is the surrogate used when categories are chosen at random or
@@ -19,6 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
+
+from . import _blas
 
 logger = logging.getLogger(__name__)
 
@@ -201,8 +214,12 @@ class GPModel:
         if self._chol is None:
             theta = self.theta.as_array()
             K = _kernel_matrix(theta, self._d2, self._match, self._dt)
-            self._chol = _chol_with_jitter(K + theta[6] * np.eye(self.n))
-            self._alpha = cho_solve((self._chol, True), self.y)
+            # One thread, as in `fit`: OpenBLAS rounds a Cholesky of 128 or
+            # more rows differently on different thread counts, and seed
+            # workers run on one.
+            with _blas.single_thread():
+                self._chol = _chol_with_jitter(K + theta[6] * np.eye(self.n))
+                self._alpha = cho_solve((self._chol, True), self.y)
 
     @property
     def chol(self) -> np.ndarray:
@@ -262,24 +279,24 @@ class GPModel:
 # Log marginal likelihood, analytic gradient, MAP fitting
 # ---------------------------------------------------------------------------
 
-def _lml_from_cache(theta: np.ndarray, d2, match, dt, y: np.ndarray) -> float:
+def _factor(theta: np.ndarray, d2, match, dt, y: np.ndarray):
+    """(Gaussian log-density of y, L, alpha) from one Cholesky of K + noise*I."""
     n = len(y)
     K = _kernel_matrix(theta, d2, match, dt)
     L = _chol_with_jitter(K + theta[6] * np.eye(n))
     alpha = cho_solve((L, True), y, check_finite=False)
-    return float(
+    lml = float(
         -0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2 * math.pi)
     )
+    return lml, L, alpha
 
 
 def log_marginal(model: GPModel) -> float:
     """MAP objective: Gaussian log-density of y plus the (constant) log prior."""
     if model.n == 0:
         raise ValueError("log marginal requires a nonempty dataset")
-    return (
-        _lml_from_cache(model.theta.as_array(), model._d2, model._match, model._dt, model.y)
-        + model.bounds.log_prior()
-    )
+    lml, _, _ = _factor(model.theta.as_array(), model._d2, model._match, model._dt, model.y)
+    return lml + model.bounds.log_prior()
 
 
 def _grad_matrices(theta: np.ndarray, d2, match, dt):
@@ -315,11 +332,9 @@ def _grad_matrices(theta: np.ndarray, d2, match, dt):
     return grads
 
 
-def _grad_from_cache(theta: np.ndarray, d2, match, dt, y: np.ndarray) -> np.ndarray:
-    n = len(y)
-    K = _kernel_matrix(theta, d2, match, dt)
-    L = _chol_with_jitter(K + theta[6] * np.eye(n))
-    alpha = cho_solve((L, True), y, check_finite=False)
+def _grad(theta: np.ndarray, d2, match, dt, L: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Gradient at theta from the factor L and alpha = K^-1 y that _factor returned."""
+    n = len(alpha)
     Kinv = cho_solve((L, True), np.eye(n), check_finite=False)
     inner = np.outer(alpha, alpha) - Kinv
     mats = _grad_matrices(theta, d2, match, dt)
@@ -337,9 +352,9 @@ def grad_log_marginal(model: GPModel) -> np.ndarray:
     """
     if model.n == 0:
         raise ValueError("gradient requires a nonempty dataset")
-    return _grad_from_cache(
-        model.theta.as_array(), model._d2, model._match, model._dt, model.y
-    )
+    theta = model.theta.as_array()
+    _, L, alpha = _factor(theta, model._d2, model._match, model._dt, model.y)
+    return _grad(theta, model._d2, model._match, model._dt, L, alpha)
 
 
 def _projected_grad_norm(theta, grad, bounds):
@@ -352,18 +367,19 @@ def _projected_grad_norm(theta, grad, bounds):
 
 
 def _ascend(theta0, bounds, d2, match, dt, y, max_iter=100, tol=1e-5):
-    """Projected gradient ascent with backtracking line search."""
+    """Projected gradient ascent with backtracking line search.
+
+    Each accepted point keeps its factorization, so the gradient there costs
+    no further Cholesky: one factorization per LML evaluation.
+    """
     theta = bounds.clip(theta0.copy())
     try:
-        f = _lml_from_cache(theta, d2, match, dt, y)
+        f, L, alpha = _factor(theta, d2, match, dt, y)
     except np.linalg.LinAlgError:
         return None, -math.inf
     step = 1.0  # carried across iterations so the line search rarely backtracks
     for _ in range(max_iter):
-        try:
-            g = _grad_from_cache(theta, d2, match, dt, y)
-        except np.linalg.LinAlgError:
-            break
+        g = _grad(theta, d2, match, dt, L, alpha)
         if _projected_grad_norm(theta, g, bounds) < tol:
             break
         step = min(step * 2.0, 1e6)
@@ -374,11 +390,11 @@ def _ascend(theta0, bounds, d2, match, dt, y, max_iter=100, tol=1e-5):
             if np.max(np.abs(move)) < 1e-15:
                 break
             try:
-                fc = _lml_from_cache(cand, d2, match, dt, y)
+                fc, Lc, alphac = _factor(cand, d2, match, dt, y)
             except np.linalg.LinAlgError:
                 fc = -math.inf
             if fc > f + 1e-4 * float(g @ move):
-                theta, f = cand, fc
+                theta, f, L, alpha = cand, fc, Lc, alphac
                 improved = True
                 break
             step *= 0.5
@@ -424,10 +440,11 @@ def fit(
     rng = np.random.default_rng(seed)
     starts = [init.as_array()] + [bounds.sample(rng) for _ in range(restarts)]
     best_theta, best_f = None, -math.inf
-    for start in starts:
-        theta, f = _ascend(start, bounds, d2, match, dt, y, max_iter=max_iter)
-        if theta is not None and f > best_f:
-            best_theta, best_f = theta, f
+    with _blas.single_thread():
+        for start in starts:
+            theta, f = _ascend(start, bounds, d2, match, dt, y, max_iter=max_iter)
+            if theta is not None and f > best_f:
+                best_theta, best_f = theta, f
     if best_theta is None:
         logger.warning("all hyperparameter fits failed numerically; keeping init")
         return init

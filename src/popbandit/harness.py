@@ -28,6 +28,7 @@ from .space import (
 )
 from .strategies import (
     StrategyKind,
+    check_truncation,
     exploit_truncation,
     explore_pb2_mix,
     explore_pb2_mult,
@@ -51,29 +52,36 @@ def sincos_space() -> SearchSpace:
     )
 
 
+# Objectives are built from module-level callables so that they pickle, which
+# the process pool in cli._run_seeds needs.
+
+def _optimum_one(_round: int) -> float:
+    return 1.0
+
+
+@dataclass(frozen=True)
+class _SinCosEvaluate:
+    """sin(x) for label "sin", cos(x) for "cos"; the two swap at each swap point."""
+
+    swap_points: tuple[int, ...] = ()
+
+    def __call__(self, config: Config, round_: int) -> float:
+        x = config.x[0]
+        swapped = sum(1 for s in self.swap_points if round_ >= s) % 2 == 1
+        return math.sin(x) if (config.h[0] == "sin") != swapped else math.cos(x)
+
+
 def sincos_objective() -> SyntheticObjective:
     """f(x, sin) = sin(x), f(x, cos) = cos(x); maximum 1 at every round."""
-
-    def evaluate(config: Config, _round: int) -> float:
-        x = config.x[0]
-        return math.sin(x) if config.h[0] == "sin" else math.cos(x)
-
-    return SyntheticObjective("sincos", evaluate, lambda _t: 1.0)
+    return SyntheticObjective("sincos", _SinCosEvaluate(), _optimum_one)
 
 
 def changepoint_objective(V: int, T: int) -> SyntheticObjective:
     """sin/cos objective whose optimal category swaps at V evenly spaced rounds."""
     if not 0 <= V < T:
         raise ValueError("need 0 <= V < T")
-    swap_points = [T * v // (V + 1) for v in range(1, V + 1)]
-
-    def evaluate(config: Config, round_: int) -> float:
-        x = config.x[0]
-        swapped = sum(1 for s in swap_points if round_ >= s) % 2 == 1
-        use_sin = (config.h[0] == "sin") != swapped
-        return math.sin(x) if use_sin else math.cos(x)
-
-    return SyntheticObjective("sincos-switch", evaluate, lambda _t: 1.0)
+    swap_points = tuple(T * v // (V + 1) for v in range(1, V + 1))
+    return SyntheticObjective("sincos-switch", _SinCosEvaluate(swap_points), _optimum_one)
 
 
 OBJECTIVES: dict[str, Callable[..., SyntheticObjective]] = {
@@ -120,8 +128,7 @@ def run_experiment(
     The random-search baseline resamples every agent every round (so its
     per-round regret stays at the uniform-draw mean).
     """
-    if B < 2:
-        raise ValueError("population size must be >= 2")
+    check_truncation(B, quantile)
     rng = np.random.default_rng(seed)
     acq_cfg = acq_cfg or AcquisitionConfig()
 

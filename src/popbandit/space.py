@@ -170,6 +170,8 @@ class Dataset:
     def append(self, obs: Observation) -> None:
         if self.observations and obs.round < self.observations[-1].round:
             raise ValueError("round indices must be non-decreasing")
+        if not math.isfinite(obs.reward):
+            raise ValueError(f"reward must be finite, got {obs.reward}")
         self.observations.append(obs)
         self.reward_min = min(self.reward_min, obs.reward)
         self.reward_max = max(self.reward_max, obs.reward)

@@ -270,6 +270,14 @@ def explore_pb2_mix(
     return decision, selection
 
 
+def check_truncation(B: int, quantile: float) -> None:
+    """Raise ValueError unless truncation selection is defined for B and quantile."""
+    if B < 2:
+        raise ValueError(f"B must be >= 2, got {B}")
+    if not 0.0 < quantile <= 0.5:
+        raise ValueError(f"quantile must be in (0, 0.5], got {quantile}")
+
+
 def exploit_truncation(scores, quantile: float, rng) -> list[tuple[int, int]]:
     """Pair each bottom-quantile agent with a random top-quantile agent.
 
@@ -277,10 +285,7 @@ def exploit_truncation(scores, quantile: float, rng) -> list[tuple[int, int]]:
     (loser, winner) index pairs for exactly ceil(quantile * B) replacements.
     """
     B = len(scores)
-    if B < 2:
-        raise ValueError("truncation selection needs at least 2 agents")
-    if not 0.0 < quantile <= 0.5:
-        raise ValueError("quantile must be in (0, 0.5]")
+    check_truncation(B, quantile)
     n = math.ceil(quantile * B)
     order = sorted(range(B), key=lambda i: (-scores[i], i))
     top = order[:n]

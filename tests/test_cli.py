@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from popbandit import cli
+from popbandit import _blas, cli
 
 
 SPACE = {
@@ -36,6 +36,11 @@ def write_config(tmp_path, **overrides):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def worker_blas_threads(_job):
+    # Module level, so that the process pool can pickle it in place of a seed run.
+    return _blas.get_threads()
 
 
 @pytest.fixture(autouse=True)
@@ -90,6 +95,46 @@ class TestRunCommand:
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.json")]) == cli.EXIT_CONFIG
+
+    def test_population_below_two_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, B=1)
+        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+        assert "B must be >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quantile", [0.0, 0.6, -0.25])
+    def test_quantile_out_of_range_is_config_error(self, tmp_path, capsys, quantile):
+        cfg = write_config(tmp_path, quantile=quantile)
+        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+        assert "quantile" in capsys.readouterr().err
+
+    def test_output_independent_of_worker_count(self, tmp_path, monkeypatch):
+        # Seeds run here on two BLAS threads with POPBANDIT_THREADS=1 and in
+        # one-thread workers with 2. By round 36 a GP holds over 128
+        # observations, where OpenBLAS's Cholesky rounding depends on the
+        # thread count; the CSVs must not.
+        before = _blas.get_threads()
+        _blas.set_threads(2)
+        outputs = {}
+        try:
+            for threads in ("1", "2"):
+                monkeypatch.setenv("POPBANDIT_THREADS", threads)
+                out = tmp_path / f"out{threads}"
+                cfg = write_config(tmp_path, strategy="pb2-mix", B=4, T_rounds=36,
+                                   acquisition={}, output=str(out))
+                assert cli.main(["run", cfg]) == cli.EXIT_OK
+                outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        finally:
+            _blas.set_threads(before)
+        assert len(outputs["1"]) == 3  # two seed files and the summary
+        assert outputs["2"] == outputs["1"]
+
+    def test_seed_workers_use_one_blas_thread(self, monkeypatch):
+        if not _blas.get_threads():
+            pytest.skip("no OpenBLAS thread setter found in this process")
+        monkeypatch.setenv("POPBANDIT_THREADS", "2")
+        monkeypatch.setattr(cli, "_run_one_seed", worker_blas_threads)
+        counts = cli._run_seeds(None, None, "random", 2, 1, 0.25, None, [0, 1])
+        assert counts == [[1] * len(_blas.get_threads())] * 2
 
     def test_runtime_error_exit_code(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)

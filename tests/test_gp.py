@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from popbandit import gp
+from popbandit import _blas, gp
 from popbandit.gp import (
     GPHyperparams,
     GPModel,
@@ -286,6 +286,123 @@ class TestFit:
         a = fit((X, H, t, y), GPHyperparams(), restarts=2, seed=7)
         b = fit((X, H, t, y), GPHyperparams(), restarts=2, seed=7)
         assert a == b
+
+
+def sincos_dataset(n, seed):
+    """n observations of sin(3x) + noise over two categories, rounds 1..40."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(size=(n, 1))
+    H = rng.integers(0, 2, size=(n, 1))
+    t = np.sort(rng.integers(1, 40, size=n)).astype(float)
+    y = np.sin(3 * X[:, 0]) + 0.1 * rng.normal(size=n)
+    return X, H, t, y
+
+
+@pytest.fixture
+def restore_blas_threads():
+    before = _blas.get_threads()
+    if not before:
+        pytest.skip("no OpenBLAS thread setter found in this process")
+    yield before
+    _blas.set_threads(before)
+
+
+class TestFusedAscent:
+    def test_one_cholesky_per_lml_evaluation(self, monkeypatch):
+        X, H, t, y = sincos_dataset(40, seed=40)
+        d2, match, dt = gp._pairwise(X, H, t, X, H, t)
+        events = []  # ("chol", matrix bytes), ("lml", None) or ("grad", None)
+
+        def logged(kind, fn, matrix=False):
+            def wrapper(*args, **kwargs):
+                events.append((kind, args[0].tobytes() if matrix else None))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gp, "_chol_with_jitter",
+                            logged("chol", gp._chol_with_jitter, matrix=True))
+        monkeypatch.setattr(gp, "_factor", logged("lml", gp._factor))
+        monkeypatch.setattr(gp, "_grad", logged("grad", gp._grad))
+        theta, _ = gp._ascend(GPHyperparams().as_array(), HyperparamBounds.default(1),
+                              d2, match, dt, y, max_iter=20)
+        assert theta is not None
+        kinds = [kind for kind, _ in events]
+        assert kinds.count("grad") > 1
+        assert kinds.count("chol") == kinds.count("lml")
+        # A gradient reuses the factor of the point just accepted. Factoring
+        # that matrix again for the gradient would show up as a repeat here.
+        chols = [i for i, kind in enumerate(kinds) if kind == "chol"]
+        for i, kind in enumerate(kinds):
+            if kind == "grad":
+                before = [j for j in chols if j < i]
+                assert len(before) < 2 or events[before[-1]] != events[before[-2]]
+
+
+class TestFitBlasThreads:
+    def test_fit_runs_on_one_thread_and_restores_counts(self, monkeypatch,
+                                                       restore_blas_threads):
+        _blas.set_threads(2)
+        before = _blas.get_threads()
+        seen = []
+        real = gp._ascend
+
+        def spy(*args, **kwargs):
+            seen.append(_blas.get_threads())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "_ascend", spy)
+        fit(sincos_dataset(20, seed=42), GPHyperparams(), restarts=1, seed=0, max_iter=5)
+        assert seen and all(counts == [1] * len(before) for counts in seen)
+        assert _blas.get_threads() == before
+
+    def test_counts_restored_when_fit_raises(self, monkeypatch, restore_blas_threads):
+        _blas.set_threads(2)
+        before = _blas.get_threads()
+
+        def boom(*_args, **_kwargs):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(gp, "_ascend", boom)
+        with pytest.raises(RuntimeError):
+            fit(sincos_dataset(20, seed=43), GPHyperparams(), restarts=0)
+        assert _blas.get_threads() == before
+
+    def test_same_theta_with_one_or_two_caller_threads(self, restore_blas_threads):
+        # At this size OpenBLAS splits a Cholesky across the threads it has,
+        # which changes its rounding; the fit must not depend on the caller's count.
+        data = sincos_dataset(160, seed=44)
+        fits = []
+        for threads in (1, 2):
+            _blas.set_threads(threads)
+            theta = fit(data, GPHyperparams(), restarts=0, seed=0, max_iter=15)
+            fits.append(theta.as_array().tobytes())
+        assert fits[0] == fits[1]
+
+    def test_same_posterior_with_one_or_two_caller_threads(self, restore_blas_threads):
+        X, H, t, y = sincos_dataset(160, seed=45)
+        Xq = np.linspace(0.0, 1.0, 50).reshape(-1, 1)
+        Hq = np.tile([0, 1], 25).reshape(-1, 1)
+        outputs = []
+        for threads in (1, 2):
+            _blas.set_threads(threads)
+            mu, var = GPModel(X, H, t, y, GPHyperparams()).posterior(Xq, Hq, 40.0)
+            outputs.append(mu.tobytes() + var.tobytes())
+        assert outputs[0] == outputs[1]
+
+
+class TestOpenblasLookup:
+    def test_matches_openblas_anywhere_in_the_path(self):
+        lines = [
+            "7f00-7f01 r-xp 00000000 08:01 1 /usr/lib/x86_64-linux-gnu/openblas-pthread/libblas.so.3\n",
+            "7f01-7f02 r--p 00000000 08:01 2 /site-packages/numpy.libs/libscipy_openblas64_-ff651d7f.so\n",
+            "7f02-7f03 r--p 00000000 08:01 3 /usr/lib/x86_64-linux-gnu/libm.so.6\n",
+            "7f03-7f04 rw-p 00000000 00:00 0 \n",
+            "7f04-7f05 r--p 00000000 08:01 4 /data/openblas-notes.txt\n",
+        ]
+        assert _blas._openblas_paths(lines) == [
+            "/site-packages/numpy.libs/libscipy_openblas64_-ff651d7f.so",
+            "/usr/lib/x86_64-linux-gnu/openblas-pthread/libblas.so.3",
+        ]
 
 
 class TestWindowed:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -45,6 +46,16 @@ class TestObjectives:
     def test_registry(self):
         assert set(OBJECTIVES) == {"sincos", "sincos-switch"}
         assert OBJECTIVES["sincos-switch"](V=1, T=50).name == "sincos-switch"
+
+    @pytest.mark.parametrize("objective", [sincos_objective(),
+                                           changepoint_objective(V=2, T=30)])
+    def test_objectives_pickle(self, objective):
+        # Seed workers receive the objective through a process pool.
+        clone = pickle.loads(pickle.dumps(objective))
+        cfg = Config((0.3,), ("sin",))
+        for round_ in (1, 10, 20):
+            assert clone.evaluate(cfg, round_) == objective.evaluate(cfg, round_)
+        assert clone.optimum(5) == 1.0
 
     def test_invalid_changepoint_count(self):
         with pytest.raises(ValueError):

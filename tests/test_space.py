@@ -143,6 +143,16 @@ class TestDataset:
                                     config=Config((0.5,), ("sin",)),
                                     raw_score=0.0, reward=0.0))
 
+    @pytest.mark.parametrize("reward", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reward_rejected(self, reward):
+        data = make_dataset([1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            data.append(Observation(round=5, agent=0,
+                                    config=Config((0.5,), ("sin",)),
+                                    raw_score=0.0, reward=reward))
+        assert len(data) == 2
+        assert data.reward_max == 2.0
+
     def test_extrema_tracking(self):
         data = make_dataset([3.0, -1.0, 2.0])
         assert data.reward_min == -1.0
