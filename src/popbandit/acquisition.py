@@ -1,10 +1,13 @@
 """Batch UCB selection of continuous values with hallucinated variance updates.
 
 Picks are made sequentially: the mean surface is frozen at the start of the
-batch, while each chosen point is appended to the covariance with a dummy
-target so later picks see reduced variance there (the variance does not depend
-on targets). The inner maximizer is random candidate search followed by
-coordinate-wise golden-section refinement.
+batch, while each chosen point is hallucinated, so later picks see reduced
+variance there (the variance does not depend on targets). Following GP-BUCB
+(Desautels, Krause & Burdick, JMLR 2014), a hallucination appends one row to
+the model's Cholesky factor, and each query set costs one cross-kernel and one
+triangular solve for both the mean and the variance (`gp._BatchPosterior`).
+The inner maximizer is random candidate search followed by coordinate-wise
+golden-section refinement.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gp import GPModel
+from .gp import GPModel, _BatchPosterior
 from .space import ContinuousParam
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -69,8 +72,7 @@ def select_batch_continuous(
     d = len(params)
     sqrt_beta = math.sqrt(beta(t, cfg))
     query_t = t + 1  # picks will be evaluated one round ahead
-    mean_model = model  # frozen mean surface
-    var_model = model  # accumulates hallucinations
+    posterior = _BatchPosterior(model)  # frozen mean, accumulates hallucinations
     picks = []
     for b in range(batch):
         hq = None
@@ -78,8 +80,7 @@ def select_batch_continuous(
             hq = np.asarray(fixed_h[b], dtype=int)
         U = rng.uniform(size=(cfg.n_candidates, d))
         Hq = np.tile(hq, (cfg.n_candidates, 1)) if hq is not None else None
-        mu, _ = mean_model.posterior(U, Hq, query_t)
-        _, var = var_model.posterior(U, Hq, query_t)
+        mu, var = posterior.query(U, Hq, query_t)
         scores = mu + sqrt_beta * np.sqrt(var)
         best = int(np.argmax(scores))
         u = U[best].copy()
@@ -87,8 +88,7 @@ def select_batch_continuous(
 
         def acq(uvec):
             hrow = hq.reshape(1, -1) if hq is not None else None
-            m, _ = mean_model.posterior(uvec.reshape(1, -1), hrow, query_t)
-            _, v = var_model.posterior(uvec.reshape(1, -1), hrow, query_t)
+            m, v = posterior.query(uvec.reshape(1, -1), hrow, query_t)
             return float(m[0] + sqrt_beta * math.sqrt(v[0]))
 
         for j in range(d):
@@ -99,7 +99,7 @@ def select_batch_continuous(
                 u, best_score = cand_u, cand_score
 
         u = np.clip(u, 0.0, 1.0)
-        var_model = var_model.with_observation(u, hq, query_t, 0.0)
+        posterior.append(u, hq, query_t)
         x = _from_unit(u, params)
         for p, v in zip(params, x):
             if not p.lower - 1e-12 <= v <= p.upper + 1e-12:

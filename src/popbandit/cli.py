@@ -36,7 +36,7 @@ from .harness import (
     sincos_objective,
 )
 from .space import SearchSpace
-from .strategies import StrategyKind, check_truncation
+from .strategies import BANDIT_STRATEGIES, StrategyKind, check_truncation
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -44,6 +44,9 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 GRADCHECK_TOLERANCE = 1e-4
+
+CONFIG_KEYS = frozenset({"space", "objective", "objective_args", "seeds", "B", "T_rounds",
+                         "quantile", "acquisition", "output", "strategy", "strategies"})
 
 
 class ConfigError(Exception):
@@ -85,7 +88,10 @@ def _require(cfg: dict, field: str):
     return cfg[field]
 
 
-def _parse_run_config(cfg: dict, strategy_field: str = "strategy"):
+def _parse_run_config(cfg: dict):
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
     space = SearchSpace.from_dict(_require(cfg, "space"))
     objective_name = _require(cfg, "objective")
     if objective_name not in OBJECTIVES:
@@ -103,6 +109,13 @@ def _parse_run_config(cfg: dict, strategy_field: str = "strategy"):
     acq = AcquisitionConfig(**cfg.get("acquisition", {}))
     objective = OBJECTIVES[objective_name](T=T_rounds, **cfg.get("objective_args", {}))
     return space, objective, seeds, B, T_rounds, quantile, acq
+
+
+def _check_strategy(name: str, space: SearchSpace) -> None:
+    kind = StrategyKind.from_name(name)
+    if kind in BANDIT_STRATEGIES and space.n_arms < 2:
+        raise ConfigError(f"strategy {name!r} needs at least 2 categorical arms, "
+                          f"the space has {space.n_arms}")
 
 
 def _run_one_seed(args):
@@ -159,7 +172,7 @@ def cmd_run(config_path: str, overrides: dict | None = None) -> int:
             cfg.update({k: v for k, v in overrides.items() if v is not None})
         space, objective, seeds, B, T_rounds, quantile, acq = _parse_run_config(cfg)
         strategy_name = _require(cfg, "strategy")
-        StrategyKind.from_name(strategy_name)
+        _check_strategy(strategy_name, space)
         out_dir = cfg.get("output", ".")
     except (ConfigError, ValueError, TypeError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -197,7 +210,7 @@ def cmd_compare(config_path: str, overrides: dict | None = None) -> int:
         if not strategies:
             raise ConfigError("strategies must be a nonempty list")
         for name in strategies:
-            StrategyKind.from_name(name)
+            _check_strategy(name, space)
         out_dir = cfg.get("output", ".")
     except (ConfigError, ValueError, TypeError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

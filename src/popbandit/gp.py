@@ -16,6 +16,12 @@ another, where a thread pool only adds hand-off cost. The posterior's Cholesky
 runs on one thread too, because OpenBLAS rounds a factorization of 128 or more
 rows differently on different thread counts; so no result depends on the
 thread count. The posterior's products over many candidates keep their threads.
+`GPModel.jitter` reports the diagonal jitter its factor needed (0.0 when none).
+
+Batch acquisition queries a `_BatchPosterior` (GP-BUCB): each hallucinated
+input appends one row to the model's Cholesky factor, an O(n^2) solve, rather
+than rebuilding and re-factoring the model, and one cross-kernel per query set
+serves both the frozen mean and the hallucinated variance.
 
 Continuous inputs are expected pre-scaled to the unit hypercube. Models with no
 categorical columns use only the continuous-time factor (sigma2, eps2, lambda
@@ -165,16 +171,17 @@ def _prior_variance(theta: np.ndarray, mixed: bool) -> float:
     return (1.0 - lam) * (sigma1 + sigma2) + lam * sigma1 * sigma2
 
 
-def _chol_with_jitter(A: np.ndarray) -> np.ndarray:
+def _chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
+    """(lower Cholesky factor, jitter added to the diagonal; 0.0 when none)."""
     try:
-        return np.linalg.cholesky(A)
+        return np.linalg.cholesky(A), 0.0
     except np.linalg.LinAlgError:
         pass
     jitter = _JITTER_START
     eye = np.eye(A.shape[0])
     while jitter <= _JITTER_MAX:
         try:
-            return np.linalg.cholesky(A + jitter * eye)
+            return np.linalg.cholesky(A + jitter * eye), jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise np.linalg.LinAlgError("Cholesky failed even with maximum jitter")
@@ -201,6 +208,7 @@ class GPModel:
         self._d2, self._match, self._dt = _pairwise(self.X, self.H, self.t, self.X, self.H, self.t)
         self._chol = None
         self._alpha = None
+        self._jitter = 0.0
 
     @property
     def n(self) -> int:
@@ -218,7 +226,7 @@ class GPModel:
             # more rows differently on different thread counts, and seed
             # workers run on one.
             with _blas.single_thread():
-                self._chol = _chol_with_jitter(K + theta[6] * np.eye(self.n))
+                self._chol, self._jitter = _chol_with_jitter(K + theta[6] * np.eye(self.n))
                 self._alpha = cho_solve((self._chol, True), self.y)
 
     @property
@@ -230,6 +238,12 @@ class GPModel:
     def alpha_vec(self) -> np.ndarray:
         self._ensure_factorization()
         return self._alpha
+
+    @property
+    def jitter(self) -> float:
+        """Diagonal jitter the Cholesky factor needed (0.0 when none)."""
+        self._ensure_factorization()
+        return self._jitter
 
     def posterior(self, Xq, Hq, tq):
         """Predictive mean and variance at query points (vectorized).
@@ -275,6 +289,68 @@ class GPModel:
         return GPModel(self.X, self.H, self.t, self.y, theta, self.bounds)
 
 
+class _BatchPosterior:
+    """Frozen mean and hallucinated variance of one batch (GP-BUCB).
+
+    The variance does not depend on targets, so a hallucinated input only
+    appends one row to the model's Cholesky factor: c = L^-1 k and
+    d = sqrt(k** + noise - |c|^2), one O(n^2) solve (Desautels, Krause &
+    Burdick, JMLR 2014). A query builds one cross-kernel against the data and
+    the hallucinations and makes one triangular solve: the mean is k^T alpha
+    over the data rows, the variance prior - |L^-1 k|^2. When the model's
+    factor needed jitter, or a new pivot d^2 is not positive, the rest of the
+    batch re-factors a `with_observation` chain instead, as a full model would.
+    """
+
+    def __init__(self, model: GPModel):
+        self.model = model
+        self._theta = model.theta.as_array()
+        self._prior = _prior_variance(self._theta, model.mixed)
+        self._X, self._H, self._t = model.X, model.H, model.t
+        self._L = model.chol
+        self._fallback = model if model.jitter > 0.0 else None
+
+    def append(self, x, h, t) -> None:
+        """Hallucinate an observation at (x, h, t)."""
+        if self._fallback is not None:
+            self._fallback = self._fallback.with_observation(x, h, t, 0.0)
+            return
+        m = self._H.shape[1]  # a continuous-only model ignores h, as with_observation does
+        hrow = np.asarray(h, dtype=int).reshape(1, m) if m else np.zeros((1, 0), dtype=int)
+        self._X = np.vstack([self._X, np.reshape(x, (1, -1))])
+        self._H = np.vstack([self._H, hrow])
+        self._t = np.append(self._t, float(t))
+        k = _kernel_matrix(self._theta, *_pairwise(self._X, self._H, self._t,
+                                                   self._X[-1:], self._H[-1:], self._t[-1:]))[:, 0]
+        c = solve_triangular(self._L, k[:-1], lower=True, check_finite=False)
+        pivot = k[-1] + self._theta[6] - c @ c
+        if not pivot > 0.0:
+            y = np.append(self.model.y, np.zeros(len(self._t) - self.model.n))
+            self._fallback = GPModel(self._X, self._H, self._t, y, self.model.theta,
+                                     self.model.bounds)
+            return
+        L = np.zeros((len(k), len(k)))
+        L[:-1, :-1] = self._L
+        L[-1, :-1] = c
+        L[-1, -1] = math.sqrt(pivot)
+        self._L = L
+
+    def query(self, Xq, Hq, tq: float):
+        """(frozen mean, hallucinated variance) at the rows of Xq, all at round tq."""
+        nq = len(Xq)
+        Hq = np.zeros((nq, 0), dtype=int) if Hq is None else Hq
+        n = self.model.n
+        rows = slice(None) if self._fallback is None else slice(n)
+        d2, match, dt = _pairwise(self._X[rows], self._H[rows], self._t[rows],
+                                  Xq, Hq, np.full(nq, float(tq)))
+        k = _kernel_matrix(self._theta, d2, match, dt)
+        mu = k[:n].T @ self.model.alpha_vec
+        if self._fallback is not None:
+            return mu, self._fallback.posterior(Xq, Hq, tq)[1]
+        v = solve_triangular(self._L, k, lower=True, check_finite=False)
+        return mu, np.maximum(self._prior - np.sum(v * v, axis=0), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Log marginal likelihood, analytic gradient, MAP fitting
 # ---------------------------------------------------------------------------
@@ -283,7 +359,7 @@ def _factor(theta: np.ndarray, d2, match, dt, y: np.ndarray):
     """(Gaussian log-density of y, L, alpha) from one Cholesky of K + noise*I."""
     n = len(y)
     K = _kernel_matrix(theta, d2, match, dt)
-    L = _chol_with_jitter(K + theta[6] * np.eye(n))
+    L, _ = _chol_with_jitter(K + theta[6] * np.eye(n))
     alpha = cho_solve((L, True), y, check_finite=False)
     lml = float(
         -0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2 * math.pi)
@@ -370,7 +446,8 @@ def _ascend(theta0, bounds, d2, match, dt, y, max_iter=100, tol=1e-5):
     """Projected gradient ascent with backtracking line search.
 
     Each accepted point keeps its factorization, so the gradient there costs
-    no further Cholesky: one factorization per LML evaluation.
+    no further Cholesky: one factorization per LML evaluation. A candidate
+    that clipping makes equal to the one just rejected is not evaluated again.
     """
     theta = bounds.clip(theta0.copy())
     try:
@@ -384,11 +461,16 @@ def _ascend(theta0, bounds, d2, match, dt, y, max_iter=100, tol=1e-5):
             break
         step = min(step * 2.0, 1e6)
         improved = False
+        rejected = None
         while step > 1e-12:
             cand = bounds.clip(theta + step * g)
             move = cand - theta
             if np.max(np.abs(move)) < 1e-15:
                 break
+            if np.array_equal(cand, rejected):
+                # Clipping undid the halving; the same candidate fails the same way.
+                step *= 0.5
+                continue
             try:
                 fc, Lc, alphac = _factor(cand, d2, match, dt, y)
             except np.linalg.LinAlgError:
@@ -397,6 +479,7 @@ def _ascend(theta0, bounds, d2, match, dt, y, max_iter=100, tol=1e-5):
                 theta, f, L, alpha = cand, fc, Lc, alphac
                 improved = True
                 break
+            rejected = cand
             step *= 0.5
         if not improved:
             break

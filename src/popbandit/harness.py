@@ -27,6 +27,7 @@ from .space import (
     validate_config,
 )
 from .strategies import (
+    BANDIT_STRATEGIES,
     StrategyKind,
     check_truncation,
     exploit_truncation,
@@ -136,7 +137,7 @@ def run_experiment(
     data = Dataset()
     record = RunRecord(strategy=strategy.value, seed=seed)
 
-    uses_bandit = strategy in (StrategyKind.PB2_MULT, StrategyKind.PB2_MIX)
+    uses_bandit = strategy in BANDIT_STRATEGIES
     bandit_state = None
     if uses_bandit:
         n_replaced = math.ceil(quantile * B)

@@ -42,6 +42,10 @@ class StrategyKind(enum.Enum):
                          f"{[k.value for k in cls]}")
 
 
+# Strategies whose categories come from the bandit; they need at least 2 arms.
+BANDIT_STRATEGIES = frozenset({StrategyKind.PB2_MULT, StrategyKind.PB2_MIX})
+
+
 @dataclass(frozen=True)
 class BanditSelection:
     """What the harness needs to apply the delayed bandit update."""

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from popbandit import acquisition, gp
 from popbandit.acquisition import AcquisitionConfig, beta, select_batch_continuous
 from popbandit.gp import GPHyperparams, GPModel
 from popbandit.space import ContinuousParam
@@ -143,3 +144,118 @@ class TestSelectBatch:
         assert len(picks) == 2
         for x in picks:
             assert 0.0 <= x[0] <= 1.0
+
+
+def select_by_refactoring(model, params, batch, t, cfg, rng, fixed_h=None):
+    """The batch loop of select_batch_continuous on full models: two posteriors
+    per query, one frozen and one re-factored after each hallucination."""
+    sqrt_beta = math.sqrt(beta(t, cfg))
+    var_model = model
+    picks = []
+    for b in range(batch):
+        hq = None if fixed_h is None else np.asarray(fixed_h[b], dtype=int)
+        U = rng.uniform(size=(cfg.n_candidates, len(params)))
+        Hq = None if hq is None else np.tile(hq, (cfg.n_candidates, 1))
+        mu, _ = model.posterior(U, Hq, t + 1)
+        _, var = var_model.posterior(U, Hq, t + 1)
+        scores = mu + sqrt_beta * np.sqrt(var)
+        best = int(np.argmax(scores))
+        u, best_score = U[best].copy(), scores[best]
+
+        def acq(uvec):
+            hrow = None if hq is None else hq.reshape(1, -1)
+            m, _ = model.posterior(uvec.reshape(1, -1), hrow, t + 1)
+            _, v = var_model.posterior(uvec.reshape(1, -1), hrow, t + 1)
+            return float(m[0] + sqrt_beta * math.sqrt(v[0]))
+
+        for j in range(len(params)):
+            lo = max(0.0, u[j] - acquisition._REFINE_HALF_WIDTH)
+            hi = min(1.0, u[j] + acquisition._REFINE_HALF_WIDTH)
+            cand_u, cand_score = acquisition._golden_section(acq, u, j, lo, hi,
+                                                             cfg.n_refine_steps)
+            if cand_score > best_score:
+                u, best_score = cand_u, cand_score
+        u = np.clip(u, 0.0, 1.0)
+        var_model = var_model.with_observation(u, hq, t + 1, 0.0)
+        picks.append(acquisition._from_unit(u, params))
+    return picks
+
+
+def random_batch_case(seed, d, mixed, noise, n=24):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(size=(n, d))
+    H = rng.integers(0, 3, size=(n, 1 if mixed else 0))
+    t = np.sort(rng.integers(1, 20, size=n)).astype(float)
+    y = np.sin(3 * X[:, 0]) + 0.1 * rng.normal(size=n)
+    theta = GPHyperparams(eps1=rng.uniform(0.0, 0.3), eps2=rng.uniform(0.0, 0.3),
+                          lengthscale=rng.uniform(0.05, 2.0), sigma1=rng.uniform(0.3, 3.0),
+                          sigma2=rng.uniform(0.3, 3.0), lam=rng.uniform(0.0, 1.0), noise=noise)
+    params = tuple(ContinuousParam(f"x{j}", -1.0, 2.0) for j in range(d))
+    return GPModel(X, H, t, y, theta), params
+
+
+def assert_same_picks(model, params, batch, fixed_h=None, seed=0):
+    cfg = AcquisitionConfig(n_candidates=300)
+    fresh = GPModel(model.X, model.H, model.t, model.y, model.theta)
+    expected = select_by_refactoring(fresh, params, batch, 20, cfg,
+                                     np.random.default_rng(seed), fixed_h)
+    got = select_batch_continuous(model, params, batch, 20, cfg,
+                                  np.random.default_rng(seed), fixed_h)
+    assert len(got) == batch
+    for x, y in zip(got, expected):
+        assert np.max(np.abs(x - y)) <= 1e-10
+
+
+class TestAppendedRowFactor:
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_picks_match_refactoring_each_hallucination(self, d, mixed):
+        for batch in range(1, 6):
+            for noise in (1e-2, 1e-4, 1e-6):
+                seed = 100 * d + 10 * batch + int(mixed)
+                model, params = random_batch_case(seed, d, mixed, noise)
+                fixed_h = [np.array([c % 3]) for c in range(batch)] if mixed else None
+                assert_same_picks(model, params, batch, fixed_h, seed=seed)
+
+    def test_one_factorization_and_no_rebuilt_model(self, monkeypatch):
+        model, params = random_batch_case(7, 2, True, 1e-3)
+        calls = {"chol": 0, "with_observation": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gp, "_chol_with_jitter", counted("chol", gp._chol_with_jitter))
+        monkeypatch.setattr(GPModel, "with_observation",
+                            counted("with_observation", GPModel.with_observation))
+        select_batch_continuous(model, params, 5, 20, AcquisitionConfig(n_candidates=100),
+                                np.random.default_rng(0), [np.array([c % 3]) for c in range(5)])
+        assert model.jitter == 0.0
+        assert calls == {"chol": 1, "with_observation": 0}
+
+    def test_jittered_model_matches_refactoring(self):
+        X = np.array([[0.2], [0.2], [0.7], [0.7], [0.4]])
+        model = GPModel(X, np.zeros((5, 0), dtype=int), np.ones(5), np.sin(3 * X[:, 0]),
+                        GPHyperparams(eps1=0.0, lengthscale=0.3, noise=0.0))
+        assert model.jitter > 0.0
+        assert_same_picks(model, (ContinuousParam("x", 0.0, 1.0),), 4)
+
+    def test_non_positive_pivot_falls_back_to_refactoring(self):
+        # Without noise, hallucinating at the one data point leaves a pivot of
+        # exactly 0: 1 + 0 - 1^2. The variance then comes from re-factored models.
+        theta = GPHyperparams(eps1=0.0, sigma1=1.0, noise=0.0)
+        model = GPModel(np.array([[0.5]]), np.zeros((1, 0), dtype=int), np.array([1.0]),
+                        np.array([0.3]), theta)
+        assert model.jitter == 0.0
+        posterior = gp._BatchPosterior(model)
+        chain = model
+        Xq = np.linspace(0.0, 1.0, 11).reshape(-1, 1)
+        for x in (0.5, 0.9):
+            posterior.append(np.array([x]), None, 1.0)
+            chain = chain.with_observation(np.array([x]), None, 1.0, 0.0)
+            mu, var = posterior.query(Xq, None, 1.0)
+            assert mu.tobytes() == model.posterior(Xq, None, 1.0)[0].tobytes()
+            assert var.tobytes() == chain.posterior(Xq, None, 1.0)[1].tobytes()
+        assert chain.jitter > 0.0

@@ -107,6 +107,21 @@ class TestRunCommand:
         assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
         assert "quantile" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy", ["pb2-mult", "pb2-mix"])
+    def test_bandit_strategy_on_one_arm_is_config_error(self, tmp_path, capsys, strategy):
+        one_arm = {"continuous": SPACE["continuous"], "categorical": []}
+        cfg = write_config(tmp_path, space=one_arm, strategy=strategy)
+        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+        assert "at least 2 categorical arms" in capsys.readouterr().err
+        cfg = write_config(tmp_path, space=one_arm, strategies=["random", strategy])
+        assert cli.main(["compare", cfg]) == cli.EXIT_CONFIG
+
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, quantil=0.4)
+        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+        assert "quantil" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_output_independent_of_worker_count(self, tmp_path, monkeypatch):
         # Seeds run here on two BLAS threads with POPBANDIT_THREADS=1 and in
         # one-thread workers with 2. By round 36 a GP holds over 128

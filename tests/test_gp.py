@@ -176,6 +176,24 @@ class TestPosterior:
         assert model.n == 4  # original untouched
 
 
+class TestJitter:
+    def test_duplicate_rows_without_noise_report_jitter(self):
+        X = np.array([[0.2], [0.2], [0.7]])
+        model = GPModel(X, np.zeros((3, 0), dtype=int), np.ones(3), np.zeros(3),
+                        GPHyperparams(eps1=0.0, noise=0.0))
+        assert model.jitter > 0.0
+        _, jitter = gp._chol_with_jitter(np.ones((2, 2)))
+        assert jitter > 0.0
+
+    def test_well_posed_kernel_reports_none(self):
+        rng = np.random.default_rng(6)
+        X, H, t, y = random_dataset(rng, n=10)
+        theta, _ = random_theta(rng, 2)
+        assert GPModel(X, H, t, y, theta).jitter == 0.0
+        _, jitter = gp._chol_with_jitter(np.eye(3))
+        assert jitter == 0.0
+
+
 class TestLogMarginal:
     def test_matches_scipy_mvn(self):
         rng = np.random.default_rng(10)
@@ -336,6 +354,60 @@ class TestFusedAscent:
             if kind == "grad":
                 before = [j for j in chols if j < i]
                 assert len(before) < 2 or events[before[-1]] != events[before[-2]]
+
+
+    def test_rejected_candidate_not_factored_again(self, monkeypatch):
+        # The first step clips every parameter to a bound, and the next two
+        # halvings clip to the same corner: the line search must not factor
+        # that candidate again, and must end where it did when it did.
+        X, H, t, y = sincos_dataset(40, seed=40)
+        d2, match, dt = gp._pairwise(X, H, t, X, H, t)
+        init, bounds = GPHyperparams().as_array(), HyperparamBounds.default(1)
+        expected, f_expected = ascend_factoring_every_candidate(init, bounds, d2, match, dt, y,
+                                                                max_iter=20)
+        thetas = []
+        real = gp._factor
+
+        def logged(theta, *args):
+            thetas.append(theta.copy())
+            return real(theta, *args)
+
+        monkeypatch.setattr(gp, "_factor", logged)
+        theta, f = gp._ascend(init, bounds, d2, match, dt, y, max_iter=20)
+        assert not any(np.array_equal(a, b) for a, b in zip(thetas, thetas[1:]))
+        assert len(thetas) == 56
+        assert theta.tobytes() == expected.tobytes()
+        assert f == f_expected
+
+
+def ascend_factoring_every_candidate(theta0, bounds, d2, match, dt, y, max_iter):
+    """The projected ascent of gp._ascend, factoring every candidate it tries."""
+    theta = bounds.clip(theta0.copy())
+    f, L, alpha = gp._factor(theta, d2, match, dt, y)
+    step = 1.0
+    for _ in range(max_iter):
+        g = gp._grad(theta, d2, match, dt, L, alpha)
+        if gp._projected_grad_norm(theta, g, bounds) < 1e-5:
+            break
+        step = min(step * 2.0, 1e6)
+        improved = False
+        while step > 1e-12:
+            cand = bounds.clip(theta + step * g)
+            move = cand - theta
+            if np.max(np.abs(move)) < 1e-15:
+                break
+            try:
+                fc, Lc, alphac = gp._factor(cand, d2, match, dt, y)
+            except np.linalg.LinAlgError:
+                fc = -math.inf
+            if fc > f + 1e-4 * float(g @ move):
+                theta, f, L, alpha = cand, fc, Lc, alphac
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+    return theta, f
 
 
 class TestFitBlasThreads:
