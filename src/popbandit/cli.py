@@ -118,6 +118,14 @@ def _check_strategy(name: str, space: SearchSpace) -> None:
                           f"the space has {space.n_arms}")
 
 
+def _check_objective(objective, space: SearchSpace) -> None:
+    # Both objectives score a config by its first continuous value and first label.
+    if not (space.continuous and space.categorical):
+        raise ConfigError(f"objective {objective.name!r} needs at least one continuous and one "
+                          f"categorical parameter, the space has {len(space.continuous)} and "
+                          f"{len(space.categorical)}")
+
+
 def _run_one_seed(args):
     space, objective, strategy_name, B, T_rounds, quantile, acq, seed = args
     return run_experiment(
@@ -173,6 +181,7 @@ def cmd_run(config_path: str, overrides: dict | None = None) -> int:
         space, objective, seeds, B, T_rounds, quantile, acq = _parse_run_config(cfg)
         strategy_name = _require(cfg, "strategy")
         _check_strategy(strategy_name, space)
+        _check_objective(objective, space)
         out_dir = cfg.get("output", ".")
     except (ConfigError, ValueError, TypeError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -211,6 +220,7 @@ def cmd_compare(config_path: str, overrides: dict | None = None) -> int:
             raise ConfigError("strategies must be a nonempty list")
         for name in strategies:
             _check_strategy(name, space)
+        _check_objective(objective, space)
         out_dir = cfg.get("output", ".")
     except (ConfigError, ValueError, TypeError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

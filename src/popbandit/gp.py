@@ -7,15 +7,20 @@ by MAP (uniform prior over a bound box, so effectively bounded MLE) using
 projected gradient ascent with analytic gradients.
 
 The likelihood and its gradient share one factorization (GPML section 5.4.1):
-`_factor` returns the LML together with the Cholesky factor L and
-alpha = K^-1 y, and `_grad` builds the gradient from those. The ascent keeps
-the accepted point's L and alpha, so it factors K once per LML evaluation and
-never again for the gradient. The fit runs on one OpenBLAS thread (see
-`_blas`): its matrices are at most SLIDING_WINDOW wide and factored one after
-another, where a thread pool only adds hand-off cost. The posterior's Cholesky
-runs on one thread too, because OpenBLAS rounds a factorization of 128 or more
-rows differently on different thread counts; so no result depends on the
-thread count. The posterior's products over many candidates keep their threads.
+`_factor` returns the LML together with a `_Factor` (the LAPACK `dpotrf`
+Cholesky factor L and the kernel parts K was built from) and alpha = K^-1 y.
+`_grad` takes K^-1 from `dpotri` on L, forms W = alpha alpha^T - K^-1 once,
+and gets each gradient entry as one contraction of W against the kept parts
+and the pairwise d2 and dt (GPML eq. 5.9); no dK/dtheta matrix is built. The
+ascent keeps the accepted point's factor and alpha, so it factors K once per
+LML evaluation and never again for the gradient. `_chol_with_jitter` is the
+module's one Cholesky, for the fit and the posterior alike. The fit runs on
+one OpenBLAS thread (see `_blas`): its matrices are at most SLIDING_WINDOW
+wide and factored one after another, where a thread pool only adds hand-off
+cost. The posterior's Cholesky runs on one thread too, because OpenBLAS
+rounds a factorization of 128 or more rows differently on different thread
+counts; so no result depends on the thread count. The posterior's products
+over many candidates keep their threads.
 `GPModel.jitter` reports the diagonal jitter its factor needed (0.0 when none).
 
 Batch acquisition queries a `_BatchPosterior` (GP-BUCB): each hallucinated
@@ -30,12 +35,14 @@ fixed by filtering.
 """
 from __future__ import annotations
 
+import copy
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 from . import _blas
 
@@ -156,12 +163,14 @@ def _kernel_parts(theta: np.ndarray, d2, match, dt):
     return kxt, kht
 
 
-def _kernel_matrix(theta: np.ndarray, d2, match, dt):
-    kxt, kht = _kernel_parts(theta, d2, match, dt)
+def _combine(lam: float, kxt, kht):
     if kht is None:
         return kxt
-    lam = theta[5]
     return (1.0 - lam) * (kxt + kht) + lam * kxt * kht
+
+
+def _kernel_matrix(theta: np.ndarray, d2, match, dt):
+    return _combine(theta[5], *_kernel_parts(theta, d2, match, dt))
 
 
 def _prior_variance(theta: np.ndarray, mixed: bool) -> float:
@@ -172,18 +181,22 @@ def _prior_variance(theta: np.ndarray, mixed: bool) -> float:
 
 
 def _chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
-    """(lower Cholesky factor, jitter added to the diagonal; 0.0 when none)."""
-    try:
-        return np.linalg.cholesky(A), 0.0
-    except np.linalg.LinAlgError:
-        pass
+    """(lower Cholesky factor, jitter added to the diagonal; 0.0 when none).
+
+    Reads only the lower triangle of A and leaves A unchanged; the factor's
+    upper triangle is zero.
+    """
+    L, info = lapack.dpotrf(A, lower=1, clean=1)
+    if info == 0:
+        return L, 0.0
     jitter = _JITTER_START
-    eye = np.eye(A.shape[0])
     while jitter <= _JITTER_MAX:
-        try:
-            return np.linalg.cholesky(A + jitter * eye), jitter
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
+        shifted = A.copy()
+        shifted.flat[:: len(A) + 1] += jitter
+        L, info = lapack.dpotrf(shifted, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
+            return L, jitter
+        jitter *= 10.0
     raise np.linalg.LinAlgError("Cholesky failed even with maximum jitter")
 
 
@@ -222,12 +235,15 @@ class GPModel:
         if self._chol is None:
             theta = self.theta.as_array()
             K = _kernel_matrix(theta, self._d2, self._match, self._dt)
+            K.flat[:: self.n + 1] += theta[6]
             # One thread, as in `fit`: OpenBLAS rounds a Cholesky of 128 or
             # more rows differently on different thread counts, and seed
             # workers run on one.
             with _blas.single_thread():
-                self._chol, self._jitter = _chol_with_jitter(K + theta[6] * np.eye(self.n))
-                self._alpha = cho_solve((self._chol, True), self.y)
+                self._chol, self._jitter = _chol_with_jitter(K)
+                # dpotrs refuses a 0-row right-hand side; batch acquisition
+                # factors an empty model too.
+                self._alpha = lapack.dpotrs(self._chol, self.y, lower=1)[0] if self.n else self.y
 
     @property
     def chol(self) -> np.ndarray:
@@ -286,7 +302,12 @@ class GPModel:
         )
 
     def with_theta(self, theta: GPHyperparams) -> "GPModel":
-        return GPModel(self.X, self.H, self.t, self.y, theta, self.bounds)
+        """Same data under other hyperparameters; shares the pairwise structure."""
+        model = copy.copy(self)
+        model.theta = theta
+        model._chol = model._alpha = None
+        model._jitter = 0.0
+        return model
 
 
 class _BatchPosterior:
@@ -355,16 +376,28 @@ class _BatchPosterior:
 # Log marginal likelihood, analytic gradient, MAP fitting
 # ---------------------------------------------------------------------------
 
+class _Factor(NamedTuple):
+    """Cholesky factor of K + noise*I and the kernel parts K was built from."""
+
+    L: np.ndarray
+    kxt: np.ndarray
+    kht: np.ndarray | None
+
+
 def _factor(theta: np.ndarray, d2, match, dt, y: np.ndarray):
-    """(Gaussian log-density of y, L, alpha) from one Cholesky of K + noise*I."""
+    """(Gaussian log-density of y, _Factor, alpha) from one Cholesky of K + noise*I."""
     n = len(y)
-    K = _kernel_matrix(theta, d2, match, dt)
-    L, _ = _chol_with_jitter(K + theta[6] * np.eye(n))
-    alpha = cho_solve((L, True), y, check_finite=False)
+    kxt, kht = _kernel_parts(theta, d2, match, dt)
+    # The parts are kept for the gradient; a continuous-only K is kxt itself,
+    # so the noise goes on a copy.
+    K = kxt.copy() if kht is None else _combine(theta[5], kxt, kht)
+    K.flat[:: n + 1] += theta[6]
+    L, _ = _chol_with_jitter(K)
+    alpha = lapack.dpotrs(L, y, lower=1)[0]
     lml = float(
         -0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2 * math.pi)
     )
-    return lml, L, alpha
+    return lml, _Factor(L, kxt, kht), alpha
 
 
 def log_marginal(model: GPModel) -> float:
@@ -375,49 +408,41 @@ def log_marginal(model: GPModel) -> float:
     return lml + model.bounds.log_prior()
 
 
-def _grad_matrices(theta: np.ndarray, d2, match, dt):
-    """dK/dtheta_i for the six kernel hyperparameters (noise handled separately)."""
+def _grad(theta: np.ndarray, d2, match, dt, factor: _Factor, alpha: np.ndarray) -> np.ndarray:
+    """Gradient at theta from the _Factor and alpha = K^-1 y that _factor returned.
+
+    Each entry is 1/2 <W, dK/dtheta_i> with W = alpha alpha^T - K^-1 (GPML
+    eq. 5.9), and each dK/dtheta_i is a kept part times d2, dt or a constant.
+    On a continuous-only model the eps2, sigma2 and lam entries stay 0.0.
+    """
     eps1, eps2, lengthscale, sigma1, sigma2, lam, _ = theta
-    kcont = sigma1 * np.exp(-d2 / lengthscale)
-    ktime1 = _time_factor(eps1, dt)
-    kxt = kcont * ktime1
-    half_dt = dt / 2.0
-    # The |dt|/2 prefactor kills the derivative at dt == 0.
-    dtime1 = -half_dt * ktime1 / (1.0 - eps1)
-    grads = {}
-    if match is None:
-        grads["eps1"] = kcont * dtime1
-        grads["eps2"] = np.zeros_like(d2)
-        grads["lengthscale"] = kxt * d2 / lengthscale**2
-        grads["sigma1"] = kxt / sigma1
-        grads["sigma2"] = np.zeros_like(d2)
-        grads["lam"] = np.zeros_like(d2)
-        return grads
-    kcat = sigma2 * match
-    ktime2 = _time_factor(eps2, dt)
-    kht = kcat * ktime2
-    dtime2 = -half_dt * ktime2 / (1.0 - eps2)
-    front_x = (1.0 - lam) + lam * kht  # chain-rule weight on d(kxt)
-    front_h = (1.0 - lam) + lam * kxt
-    grads["eps1"] = front_x * kcont * dtime1
-    grads["eps2"] = front_h * kcat * dtime2
-    grads["lengthscale"] = front_x * ktime1 * kcont * d2 / lengthscale**2
-    grads["sigma1"] = front_x * ktime1 * kcont / sigma1
-    grads["sigma2"] = front_h * ktime2 * kcat / sigma2
-    grads["lam"] = -(kxt + kht) + kxt * kht
-    return grads
-
-
-def _grad(theta: np.ndarray, d2, match, dt, L: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Gradient at theta from the factor L and alpha = K^-1 y that _factor returned."""
-    n = len(alpha)
-    Kinv = cho_solve((L, True), np.eye(n), check_finite=False)
-    inner = np.outer(alpha, alpha) - Kinv
-    mats = _grad_matrices(theta, d2, match, dt)
-    grad = np.empty(7)
-    for i, name in enumerate(PARAM_NAMES[:6]):
-        grad[i] = 0.5 * np.sum(inner * mats[name])
-    grad[6] = 0.5 * np.trace(inner)  # dK/d(noise) = I
+    L, kxt, kht = factor
+    lower, info = lapack.dpotri(L, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("dpotri failed on a Cholesky factor")
+    # dpotri fills the lower triangle of K^-1 and leaves the upper one zero.
+    Kinv = lower.T + lower
+    Kinv.flat[:: len(alpha) + 1] *= 0.5
+    W = np.outer(alpha, alpha)
+    W -= Kinv
+    grad = np.zeros(7)
+    # kxt has derivatives -dt/2 kxt/(1 - eps1), d2 kxt/l^2 and kxt/sigma1, and kht
+    # likewise in eps2 and sigma2. In a mixed K each part carries the weight
+    # (1 - lam) + lam * (the other part).
+    if kht is None:
+        Wx = W * kxt
+    else:
+        Wx = W * ((1.0 - lam) + lam * kht)
+        Wx *= kxt
+        Wh = W * ((1.0 - lam) + lam * kxt)
+        Wh *= kht
+        grad[1] = -0.25 * np.vdot(Wh, dt) / (1.0 - eps2)
+        grad[4] = 0.5 * np.sum(Wh) / sigma2
+        grad[5] = 0.5 * np.vdot(W, kxt * kht - kxt - kht)
+    grad[0] = -0.25 * np.vdot(Wx, dt) / (1.0 - eps1)
+    grad[2] = 0.5 * np.vdot(Wx, d2) / lengthscale**2
+    grad[3] = 0.5 * np.sum(Wx) / sigma1
+    grad[6] = 0.5 * np.trace(W)  # dK/d(noise) = I
     return grad
 
 
@@ -429,8 +454,8 @@ def grad_log_marginal(model: GPModel) -> np.ndarray:
     if model.n == 0:
         raise ValueError("gradient requires a nonempty dataset")
     theta = model.theta.as_array()
-    _, L, alpha = _factor(theta, model._d2, model._match, model._dt, model.y)
-    return _grad(theta, model._d2, model._match, model._dt, L, alpha)
+    _, factor, alpha = _factor(theta, model._d2, model._match, model._dt, model.y)
+    return _grad(theta, model._d2, model._match, model._dt, factor, alpha)
 
 
 def _projected_grad_norm(theta, grad, bounds):
@@ -451,12 +476,12 @@ def _ascend(theta0, bounds, d2, match, dt, y, max_iter=100, tol=1e-5):
     """
     theta = bounds.clip(theta0.copy())
     try:
-        f, L, alpha = _factor(theta, d2, match, dt, y)
+        f, factor, alpha = _factor(theta, d2, match, dt, y)
     except np.linalg.LinAlgError:
         return None, -math.inf
     step = 1.0  # carried across iterations so the line search rarely backtracks
     for _ in range(max_iter):
-        g = _grad(theta, d2, match, dt, L, alpha)
+        g = _grad(theta, d2, match, dt, factor, alpha)
         if _projected_grad_norm(theta, g, bounds) < tol:
             break
         step = min(step * 2.0, 1e6)
@@ -472,11 +497,11 @@ def _ascend(theta0, bounds, d2, match, dt, y, max_iter=100, tol=1e-5):
                 step *= 0.5
                 continue
             try:
-                fc, Lc, alphac = _factor(cand, d2, match, dt, y)
+                fc, factorc, alphac = _factor(cand, d2, match, dt, y)
             except np.linalg.LinAlgError:
                 fc = -math.inf
             if fc > f + 1e-4 * float(g @ move):
-                theta, f, L, alpha = cand, fc, Lc, alphac
+                theta, f, factor, alpha = cand, fc, factorc, alphac
                 improved = True
                 break
             rejected = cand

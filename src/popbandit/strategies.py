@@ -133,10 +133,10 @@ def _mixed_arrays(data: Dataset, space: SearchSpace):
 
 
 def _fitted_model(X, H, t, y, theta_init, restarts, seed) -> GPModel:
-    bounds = HyperparamBounds.default(X.shape[1])
     init = theta_init if theta_init is not None else GPHyperparams()
-    theta = fit((X, H, t, y), init, restarts=restarts, seed=seed, bounds=bounds)
-    return GPModel(X, H, t, y, theta, bounds)
+    # The fit reads the model's pairwise structure, and the fitted model shares it.
+    model = GPModel(X, H, t, y, init, HyperparamBounds.default(X.shape[1]))
+    return model.with_theta(fit(model, init, restarts=restarts, seed=seed))
 
 
 def _cached_model(X, H, t, y, theta_cache, key, t_round, restarts, seed,

@@ -2,9 +2,12 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import popbandit
 from popbandit import _blas, cli
 
 
@@ -122,6 +125,19 @@ class TestRunCommand:
         assert "quantil" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("objective", ["sincos", "sincos-switch"])
+    @pytest.mark.parametrize("missing", ["continuous", "categorical"])
+    def test_objective_without_its_parameters_is_config_error(self, tmp_path, capsys,
+                                                              objective, missing):
+        space = {key: params for key, params in SPACE.items() if key != missing}
+        cfg = write_config(tmp_path, space=space, objective=objective, strategy="pb2-rand")
+        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+        assert "one continuous and one categorical" in capsys.readouterr().err
+        cfg = write_config(tmp_path, space=space, objective=objective,
+                           strategies=["random", "pb2-rand"])
+        assert cli.main(["compare", cfg]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_output_independent_of_worker_count(self, tmp_path, monkeypatch):
         # Seeds run here on two BLAS threads with POPBANDIT_THREADS=1 and in
         # one-thread workers with 2. By round 36 a GP holds over 128
@@ -202,6 +218,23 @@ class TestGradcheck:
         monkeypatch.setattr(cli.gp, "grad_log_marginal", flipped)
         assert cli.cmd_gradcheck(seed=0, n_instances=3) == cli.EXIT_FAIL
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestImportCost:
+    def test_import_leaves_out_scipy_optimize_and_sparse(self):
+        # Every run, and every seed worker, pays the import at start-up.
+        src = os.path.dirname(os.path.dirname(popbandit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, popbandit, popbandit.cli; "
+                "print(*(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert not loaded, (f"importing popbandit loads {loaded}: scipy.optimize (which "
+                            "brings scipy.sparse) adds about 19 MB of resident memory and "
+                            "0.2 s of import time to every run")
 
 
 class TestBanditSim:

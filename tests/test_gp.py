@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 from scipy.stats import multivariate_normal
 
 from popbandit import _blas, gp
@@ -166,6 +167,21 @@ class TestPosterior:
             assert np.allclose(mu1, mu2, atol=1e-10)
             assert np.allclose(v1, v2, atol=1e-10)
 
+    def test_with_theta_factors_afresh(self):
+        rng = np.random.default_rng(7)
+        X, H, t, y = random_dataset(rng, n=12)
+        theta_a, _ = random_theta(rng, 2)
+        theta_b, _ = random_theta(rng, 2)
+        Xq = rng.uniform(size=(5, 2))
+        Hq = rng.integers(0, 3, size=(5, 1))
+        model = GPModel(X, H, t, y, theta_a)
+        model.posterior(Xq, Hq, 31.0)  # factors K under theta_a
+        moved = model.with_theta(theta_b)
+        fresh = GPModel(X, H, t, y, theta_b)
+        for got, want in zip(moved.posterior(Xq, Hq, 31.0), fresh.posterior(Xq, Hq, 31.0)):
+            assert got.tobytes() == want.tobytes()
+        assert model.theta == theta_a
+
     def test_with_observation_appends(self):
         rng = np.random.default_rng(5)
         X, H, t, y = random_dataset(rng, n=4)
@@ -184,6 +200,22 @@ class TestJitter:
         assert model.jitter > 0.0
         _, jitter = gp._chol_with_jitter(np.ones((2, 2)))
         assert jitter > 0.0
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_factor_is_lower_and_input_untouched(self, noise):
+        # With noise 0 the repeated row makes K singular, so the factor needs jitter.
+        X = np.array([[0.2], [0.5], [0.2], [0.9]])
+        t = np.ones(4)
+        d2, match, dt = gp._pairwise(X, np.zeros((4, 0), dtype=int), t,
+                                     X, np.zeros((4, 0), dtype=int), t)
+        K = gp._kernel_matrix(GPHyperparams(eps1=0.0).as_array(), d2, match, dt)
+        K += noise * np.eye(4)
+        before = K.copy()
+        L, jitter = gp._chol_with_jitter(K)
+        assert (jitter > 0.0) == (noise == 0.0)
+        assert np.array_equal(K, before)
+        assert np.all(np.triu(L, 1) == 0.0)
+        assert np.allclose(L @ L.T, K + jitter * np.eye(4), atol=1e-12)
 
     def test_well_posed_kernel_reports_none(self):
         rng = np.random.default_rng(6)
@@ -267,6 +299,61 @@ class TestGradient:
             assert np.all(rel < 1e-4)
             # Categorical-side parameters are inert without category columns.
             assert g[1] == 0.0 and g[4] == 0.0 and g[5] == 0.0
+
+
+def grad_matrices_oracle(theta, d2, match, dt):
+    """dK/dtheta_i as full matrices, for the six kernel hyperparameters."""
+    eps1, eps2, lengthscale, sigma1, sigma2, lam, _ = theta
+    kcont = sigma1 * np.exp(-d2 / lengthscale)
+    ktime1 = gp._time_factor(eps1, dt)
+    kxt = kcont * ktime1
+    half_dt = dt / 2.0
+    dtime1 = -half_dt * ktime1 / (1.0 - eps1)
+    if match is None:
+        zeros = np.zeros_like(d2)
+        return [kcont * dtime1, zeros, kxt * d2 / lengthscale**2, kxt / sigma1, zeros, zeros]
+    kcat = sigma2 * match
+    ktime2 = gp._time_factor(eps2, dt)
+    kht = kcat * ktime2
+    dtime2 = -half_dt * ktime2 / (1.0 - eps2)
+    front_x = (1.0 - lam) + lam * kht
+    front_h = (1.0 - lam) + lam * kxt
+    return [
+        front_x * kcont * dtime1,
+        front_h * kcat * dtime2,
+        front_x * ktime1 * kcont * d2 / lengthscale**2,
+        front_x * ktime1 * kcont / sigma1,
+        front_h * ktime2 * kcat / sigma2,
+        -(kxt + kht) + kxt * kht,
+    ]
+
+
+def grad_oracle(theta, d2, match, dt, y):
+    """1/2 tr((alpha alpha^T - K^-1) dK/dtheta_i), K^-1 from cho_solve(eye)."""
+    K = gp._kernel_matrix(theta, d2, match, dt) + theta[6] * np.eye(len(y))
+    L = np.linalg.cholesky(K)
+    alpha = cho_solve((L, True), y)
+    inner = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(len(y)))
+    mats = grad_matrices_oracle(theta, d2, match, dt)
+    return np.array([0.5 * np.sum(inner * m) for m in mats] + [0.5 * np.trace(inner)])
+
+
+class TestGradientOracle:
+    @pytest.mark.parametrize("n", [8, 60, 200])
+    @pytest.mark.parametrize("m", [1, 0])
+    def test_contracted_gradient_matches_full_matrices(self, n, m):
+        rng = np.random.default_rng(100 + n + m)
+        for _ in range(3):
+            X, H, t, y = random_dataset(rng, n=n, m=max(m, 1))
+            H = H[:, :m]
+            theta = random_theta(rng, 2)[0].as_array()
+            d2, match, dt = gp._pairwise(X, H, t, X, H, t)
+            _, factor, alpha = gp._factor(theta, d2, match, dt, y)
+            g = gp._grad(theta, d2, match, dt, factor, alpha)
+            np.testing.assert_allclose(g, grad_oracle(theta, d2, match, dt, y),
+                                       rtol=1e-10, atol=0.0)
+            if m == 0:
+                assert g[1] == 0.0 and g[4] == 0.0 and g[5] == 0.0
 
 
 class TestFit:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from popbandit import bandit as bd
+from popbandit import strategies
 from popbandit.acquisition import AcquisitionConfig
+from popbandit.gp import GPHyperparams, HyperparamBounds, fit
 from popbandit.space import (
     CategoricalParam,
     Config,
@@ -126,6 +128,21 @@ class TestExplorePb2Rand:
                                acq_cfg=ACQ, restarts=0)
         assert len(out) == 3
         assert all(validate_config(space, c) for c in out)
+
+
+class TestFittedModel:
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_holds_the_theta_a_fit_on_the_arrays_gives(self, m):
+        rng = np.random.default_rng(8)
+        X = rng.uniform(size=(30, 1))
+        H = rng.integers(0, 2, size=(30, m))
+        t = np.arange(1.0, 31.0)
+        y = np.sin(3 * X[:, 0]) + 0.1 * rng.normal(size=30)
+        model = strategies._fitted_model(X, H, t, y, None, restarts=1, seed=3)
+        expected = fit((X, H, t, y), GPHyperparams(), restarts=1, seed=3,
+                       bounds=HyperparamBounds.default(1))
+        assert model.theta == expected
+        assert model.n == 30 and model.mixed == bool(m)
 
 
 class TestExplorePb2Mult:
