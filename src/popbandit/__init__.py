@@ -5,7 +5,6 @@ from .space import (
     Config,
     ContinuousParam,
     Dataset,
-    Observation,
     SearchSpace,
     filter_by_category,
     normalize_rewards,
@@ -35,7 +34,6 @@ __all__ = [
     "Dataset",
     "GPHyperparams",
     "GPModel",
-    "Observation",
     "RunRecord",
     "SearchSpace",
     "StrategyKind",

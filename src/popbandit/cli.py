@@ -27,6 +27,7 @@ import numpy as np
 from . import _blas, gp
 from .acquisition import AcquisitionConfig
 from .harness import (
+    OBJECTIVE_ARGS,
     OBJECTIVES,
     RunRecord,
     bandit_sim,
@@ -97,17 +98,25 @@ def _parse_run_config(cfg: dict):
     if objective_name not in OBJECTIVES:
         raise ConfigError(f"unknown objective {objective_name!r}")
     seeds = _require(cfg, "seeds")
-    if not seeds:
-        raise ConfigError("seeds must be a nonempty list")
+    if not (isinstance(seeds, list) and seeds
+            and all(type(s) is int and s >= 0 for s in seeds)):
+        raise ConfigError(f"seeds must be a nonempty list of non-negative integers, got {seeds!r}")
     B = int(_require(cfg, "B"))
     T_rounds = int(_require(cfg, "T_rounds"))
+    if T_rounds < 1:
+        raise ConfigError(f"T_rounds must be >= 1, got {T_rounds}")
     quantile = float(cfg.get("quantile", 0.25))
     try:
         check_truncation(B, quantile)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     acq = AcquisitionConfig(**cfg.get("acquisition", {}))
-    objective = OBJECTIVES[objective_name](T=T_rounds, **cfg.get("objective_args", {}))
+    objective_args = cfg.get("objective_args", {})
+    unknown = sorted(set(objective_args) - OBJECTIVE_ARGS[objective_name])
+    if unknown:
+        raise ConfigError(f"unknown objective_args {unknown} for {objective_name!r}, which "
+                          f"takes {sorted(OBJECTIVE_ARGS[objective_name])}")
+    objective = OBJECTIVES[objective_name](T=T_rounds, **objective_args)
     return space, objective, seeds, B, T_rounds, quantile, acq
 
 

@@ -512,45 +512,32 @@ def _ascend(theta0, bounds, d2, match, dt, y, max_iter=100, tol=1e-5):
 
 
 def fit(
-    data_or_model,
+    data_or_model: GPModel,
     init: GPHyperparams,
     restarts: int = 3,
     seed: int = 0,
-    bounds: HyperparamBounds | None = None,
     max_iter: int = 100,
 ) -> GPHyperparams:
-    """MAP hyperparameter fit: local ascent from init plus random restarts.
+    """MAP hyperparameter fit on a model's data: local ascent from init plus random restarts.
 
-    Accepts either a GPModel or an (X, H, t, y) tuple. With fewer than two
+    The model supplies the data, the bounds and the pairwise structure; its own
+    theta is not read. The parameter is named data_or_model because
+    perfbench/tracing.py binds it by that name. With fewer than two
     observations the init is returned unchanged. Returns the best theta found;
     if every ascent fails numerically, returns init and logs a warning.
     """
-    if isinstance(data_or_model, GPModel):
-        model = data_or_model
-        X, H, t, y = model.X, model.H, model.t, model.y
-        if bounds is None:
-            bounds = model.bounds
-        d2, match, dt = model._d2, model._match, model._dt
-    else:
-        X, H, t, y = data_or_model
-        y = np.asarray(y, dtype=float).reshape(-1)
-        X = np.asarray(X, dtype=float).reshape(len(y), -1)
-        H = np.asarray(H, dtype=int).reshape(len(y), -1)
-        t = np.asarray(t, dtype=float).reshape(-1)
-        if bounds is None:
-            bounds = HyperparamBounds.default(X.shape[1])
-        d2, match, dt = _pairwise(X, H, t, X, H, t)
-        if H.shape[1] == 0:
-            match = None
-    if len(y) < 2:
+    model = data_or_model
+    if model.n < 2:
         return init
 
     rng = np.random.default_rng(seed)
+    bounds = model.bounds
     starts = [init.as_array()] + [bounds.sample(rng) for _ in range(restarts)]
     best_theta, best_f = None, -math.inf
     with _blas.single_thread():
         for start in starts:
-            theta, f = _ascend(start, bounds, d2, match, dt, y, max_iter=max_iter)
+            theta, f = _ascend(start, bounds, model._d2, model._match, model._dt, model.y,
+                               max_iter=max_iter)
             if theta is not None and f > best_f:
                 best_theta, best_f = theta, f
     if best_theta is None:

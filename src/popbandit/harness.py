@@ -21,7 +21,6 @@ from .space import (
     Config,
     ContinuousParam,
     Dataset,
-    Observation,
     SearchSpace,
     normalize_rewards,
     validate_config,
@@ -90,13 +89,12 @@ OBJECTIVES: dict[str, Callable[..., SyntheticObjective]] = {
     "sincos-switch": lambda V=1, T=50, **_kw: changepoint_objective(V, T),
 }
 
-
-@dataclass
-class AgentState:
-    config: Config
-    cum_score: float = 0.0
-    last_score: float = 0.0
-    lineage: int = 0
+# The keyword arguments each objective takes from a config's objective_args;
+# T always comes from the run's round count.
+OBJECTIVE_ARGS: dict[str, frozenset[str]] = {
+    "sincos": frozenset(),
+    "sincos-switch": frozenset({"V"}),
+}
 
 
 @dataclass
@@ -120,21 +118,21 @@ def run_experiment(
     seed: int = 0,
     acq_cfg: AcquisitionConfig | None = None,
     gp_restarts: int = 1,
-    gp_refit_every: int = 5,
 ) -> RunRecord:
     """Run the full exploit/explore loop; deterministic given the seed.
 
     Rewards fed back to the bandit are normalized population rewards of the
     agents that ran each selected category, applied one round after selection.
     The random-search baseline resamples every agent every round (so its
-    per-round regret stays at the uniform-draw mean).
+    per-round regret stays at the uniform-draw mean). GP hyperparameters are
+    refitted every `strategies.REFIT_EVERY` rounds.
     """
     check_truncation(B, quantile)
     rng = np.random.default_rng(seed)
     acq_cfg = acq_cfg or AcquisitionConfig()
 
-    agents = [AgentState(config=c, lineage=i) for i, c in enumerate(explore_random(space, B, rng))]
-    data = Dataset()
+    configs = explore_random(space, B, rng)
+    data = Dataset(space)
     record = RunRecord(strategy=strategy.value, seed=seed)
 
     uses_bandit = strategy in BANDIT_STRATEGIES
@@ -144,30 +142,27 @@ def run_experiment(
         bandit_B = min(n_replaced, space.n_arms)
         bandit_state = bd.new_bandit(space.n_arms, bandit_B, T_rounds)
     pending = None  # (selection, replaced agent indices) awaiting realized rewards
-    theta_cache: dict = {}
+    gp_args = dict(acq_cfg=acq_cfg, restarts=gp_restarts, theta_cache={})
 
     cum = 0.0
     for t in range(1, T_rounds + 1):
         fvals = []
-        for b, agent in enumerate(agents):
-            f = objective.evaluate(agent.config, t)
-            agent.cum_score += f
-            agent.last_score = f
+        for config in configs:
+            f = objective.evaluate(config, t)
             fvals.append(f)
-            data.append(Observation(round=t, agent=b, config=agent.config,
-                                    raw_score=agent.cum_score, reward=f))
+            data.append(t, config, f)
         fstar = objective.optimum(t)
         regrets = [fstar - f for f in fvals]
         cum += float(np.mean(regrets))
         record.cum_regret.append(cum)
-        for b, agent in enumerate(agents):
+        for b, config in enumerate(configs):
             record.rows.append({
                 "round": t,
                 "agent": b,
                 "strategy": strategy.value,
                 "seed": seed,
-                "h": "|".join(agent.config.h),
-                "x": agent.config.x,
+                "h": "|".join(config.h),
+                "x": config.x,
                 "f": fvals[b],
                 "regret": regrets[b],
                 "cum_regret": cum,
@@ -185,45 +180,28 @@ def run_experiment(
                                      selection.cap, g_mean)
             pending = None
 
-        pairs = exploit_truncation([a.last_score for a in agents], quantile, rng)
+        pairs = exploit_truncation(fvals, quantile, rng)
         for loser, winner in pairs:
-            agents[loser].config = agents[winner].config
-            agents[loser].cum_score = agents[winner].cum_score
-            agents[loser].lineage = agents[winner].lineage
+            configs[loser] = configs[winner]
         replaced = [loser for loser, _ in pairs]
 
         if strategy is StrategyKind.RANDOM:
             decision = explore_random(space, B, rng)
             replaced = list(range(B))
         elif strategy is StrategyKind.PBT:
-            parents = [agents[i].config for i in replaced]
+            parents = [configs[i] for i in replaced]
             decision = explore_pbt(replaced, parents, space, rng)
         elif strategy is StrategyKind.PB2_RAND:
-            decision = explore_pb2_rand(data, replaced, space, t, rng,
-                                        acq_cfg=acq_cfg, restarts=gp_restarts,
-                                        theta_cache=theta_cache,
-                                        refit_every=gp_refit_every)
-        elif strategy is StrategyKind.PB2_MULT:
-            decision, selection = explore_pb2_mult(data, bandit_state, replaced, space,
-                                                   t, rng, acq_cfg=acq_cfg,
-                                                   restarts=gp_restarts,
-                                                   theta_cache=theta_cache,
-                                                   refit_every=gp_refit_every)
+            decision = explore_pb2_rand(data, replaced, space, t, rng, **gp_args)
+        else:
+            explore = explore_pb2_mult if strategy is StrategyKind.PB2_MULT else explore_pb2_mix
+            decision, selection = explore(data, bandit_state, replaced, space, t, rng, **gp_args)
             pending = (selection, replaced)
-        elif strategy is StrategyKind.PB2_MIX:
-            decision, selection = explore_pb2_mix(data, bandit_state, replaced, space,
-                                                  t, rng, acq_cfg=acq_cfg,
-                                                  restarts=gp_restarts,
-                                                  theta_cache=theta_cache,
-                                                  refit_every=gp_refit_every)
-            pending = (selection, replaced)
-        else:  # pragma: no cover
-            raise AssertionError(strategy)
 
         for idx, config in zip(replaced, decision):
             if not validate_config(space, config):
                 raise RuntimeError(f"strategy produced an invalid config: {config}")
-            agents[idx].config = config
+            configs[idx] = config
 
     return record
 

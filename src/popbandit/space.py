@@ -1,15 +1,15 @@
 """Mixed continuous/categorical search spaces and the time-indexed dataset.
 
 All selection algorithms (bandit over categories, GP over continuous values)
-consume the same append-only dataset of (round, agent, config, score, reward)
-records defined here.
+consume the same append-only `Dataset`: four numpy columns over one search
+space, filled at append time with the unit-scaled continuous values X, the
+integer category codes H, the round t and the reward.
 """
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,22 +59,12 @@ class Config:
 class SearchSpace:
     continuous: tuple[ContinuousParam, ...]
     categorical: tuple[CategoricalParam, ...]
-    # Optional map from a full categorical assignment to its own continuous
-    # parameter list (used by the per-category surrogate strategy).
-    per_category_continuous: dict[tuple[str, ...], tuple[ContinuousParam, ...]] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "continuous", tuple(self.continuous))
         object.__setattr__(self, "categorical", tuple(self.categorical))
         if not self.continuous and not self.categorical:
             raise ValueError("search space must have at least one parameter")
-        if self.per_category_continuous is not None:
-            valid = set(self.categorical_assignments())
-            pcc = {tuple(k): tuple(v) for k, v in self.per_category_continuous.items()}
-            for key in pcc:
-                if key not in valid:
-                    raise ValueError(f"invalid categorical assignment in key set: {key}")
-            object.__setattr__(self, "per_category_continuous", pcc)
 
     def categorical_assignments(self) -> list[tuple[str, ...]]:
         """All full categorical assignments, in deterministic product order."""
@@ -89,24 +79,17 @@ class SearchSpace:
             n *= len(p.choices)
         return n
 
-    def continuous_for(self, h: tuple[str, ...]) -> tuple[ContinuousParam, ...]:
-        """Continuous parameters active under assignment h (per-category if defined)."""
-        if self.per_category_continuous is not None:
-            return self.per_category_continuous[tuple(h)]
-        return self.continuous
-
     def encode_h(self, h: tuple[str, ...]) -> tuple[int, ...]:
         return tuple(p.choices.index(label) for p, label in zip(self.categorical, h))
 
-    def arm_index(self, h: tuple[str, ...]) -> int:
-        """Index of a full assignment within categorical_assignments() order."""
-        idx = 0
-        for p, label in zip(self.categorical, h):
-            idx = idx * len(p.choices) + p.choices.index(label)
-        return idx
-
     @classmethod
     def from_dict(cls, doc: dict) -> "SearchSpace":
+        """Build a space from its JSON document; an unknown key is a ValueError."""
+        _check_keys(doc, ("continuous", "categorical"), "space")
+        for d in doc.get("continuous", []):
+            _check_keys(d, ("name", "lower", "upper"), "continuous parameter")
+        for d in doc.get("categorical", []):
+            _check_keys(d, ("name", "choices"), "categorical parameter")
         continuous = tuple(
             ContinuousParam(d["name"], float(d["lower"]), float(d["upper"]))
             for d in doc.get("continuous", [])
@@ -115,20 +98,13 @@ class SearchSpace:
             CategoricalParam(d["name"], tuple(d["choices"]))
             for d in doc.get("categorical", [])
         )
-        pcc = None
-        if "per_category_continuous" in doc:
-            pcc = {}
-            for key, params in doc["per_category_continuous"].items():
-                labels = tuple(key.split("|"))
-                pcc[labels] = tuple(
-                    ContinuousParam(d["name"], float(d["lower"]), float(d["upper"]))
-                    for d in params
-                )
-        return cls(continuous, categorical, pcc)
+        return cls(continuous, categorical)
 
-    @classmethod
-    def from_json(cls, text: str) -> "SearchSpace":
-        return cls.from_dict(json.loads(text))
+
+def _check_keys(doc: dict, known, what: str) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}")
 
 
 def validate_config(space: SearchSpace, config: Config) -> bool:
@@ -138,64 +114,85 @@ def validate_config(space: SearchSpace, config: Config) -> bool:
     for p, label in zip(space.categorical, config.h):
         if label not in p.choices:
             return False
-    try:
-        params = space.continuous_for(config.h)
-    except KeyError:
+    if len(config.x) != len(space.continuous):
         return False
-    if len(config.x) != len(params):
-        return False
-    for p, v in zip(params, config.x):
+    for p, v in zip(space.continuous, config.x):
         if not (p.lower <= v <= p.upper):
             return False
     return True
 
 
-@dataclass
-class Observation:
-    round: int
-    agent: int
-    config: Config
-    raw_score: float
-    reward: float
-
-
-@dataclass
 class Dataset:
-    """Append-only, time-ordered observation log with running reward extrema."""
+    """Append-only, time-ordered observations over one space, held as columns.
 
-    observations: list[Observation] = field(default_factory=list)
-    reward_min: float = math.inf
-    reward_max: float = -math.inf
+    X: (n, d) continuous values scaled to the unit hypercube of
+    space.continuous. H: (n, m) integer category codes (`SearchSpace.encode_h`).
+    t: (n,) rounds, as floats. reward: (n,) rewards. The columns are views of
+    buffers that double when full; rows already appended never change.
+    """
 
-    def append(self, obs: Observation) -> None:
-        if self.observations and obs.round < self.observations[-1].round:
+    def __init__(self, space: SearchSpace):
+        self.space = space
+        self._lower = np.array([p.lower for p in space.continuous], dtype=float)
+        self._span = np.array([p.upper - p.lower for p in space.continuous], dtype=float)
+        self._n = 0
+        self._X = np.empty((0, len(space.continuous)))
+        self._H = np.empty((0, len(space.categorical)), dtype=int)
+        self._t = np.empty(0)
+        self._reward = np.empty(0)
+
+    def append(self, round_: int, config: Config, reward: float) -> None:
+        if self._n and round_ < self._t[self._n - 1]:
             raise ValueError("round indices must be non-decreasing")
-        if not math.isfinite(obs.reward):
-            raise ValueError(f"reward must be finite, got {obs.reward}")
-        self.observations.append(obs)
-        self.reward_min = min(self.reward_min, obs.reward)
-        self.reward_max = max(self.reward_max, obs.reward)
+        if not math.isfinite(reward):
+            raise ValueError(f"reward must be finite, got {reward}")
+        row = ((np.array(config.x, dtype=float) - self._lower) / self._span,
+               self.space.encode_h(config.h), round_, reward)
+        if self._n == len(self._t):
+            grow = max(8, self._n)  # doubles the capacity
+            self._X, self._H, self._t, self._reward = (
+                np.concatenate([col, np.empty((grow,) + col.shape[1:], col.dtype)])
+                for col in (self._X, self._H, self._t, self._reward))
+        for col, value in zip((self._X, self._H, self._t, self._reward), row):
+            col[self._n] = value
+        self._n += 1
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return self._n
+
+    @property
+    def X(self) -> np.ndarray:
+        return self._X[: self._n]
+
+    @property
+    def H(self) -> np.ndarray:
+        return self._H[: self._n]
+
+    @property
+    def t(self) -> np.ndarray:
+        return self._t[: self._n]
+
+    @property
+    def reward(self) -> np.ndarray:
+        return self._reward[: self._n]
 
 
 def filter_by_category(data: Dataset, h: tuple[str, ...]) -> Dataset:
     """Observations whose assignment equals h, in original order."""
-    h = tuple(h)
-    out = Dataset()
-    for obs in data.observations:
-        if obs.config.h == h:
-            out.append(obs)
+    mask = np.all(data.H == data.space.encode_h(h), axis=1)
+    out = Dataset(data.space)
+    out._X, out._H, out._t, out._reward = (
+        col[mask] for col in (data.X, data.H, data.t, data.reward))
+    out._n = len(out._t)
     return out
 
 
 def normalize_rewards(data: Dataset) -> np.ndarray:
     """Min-max rescale rewards into [0,1]; a degenerate range maps to 0.5."""
-    if not data.observations:
+    if not len(data):
         raise ValueError("cannot normalize an empty dataset")
-    y = np.array([obs.reward for obs in data.observations], dtype=float)
-    lo, hi = data.reward_min, data.reward_max
+    y = data.reward
+    lo, hi = y.min(), y.max()
     if hi == lo:
         return np.full_like(y, 0.5)
     return (y - lo) / (hi - lo)

@@ -3,8 +3,9 @@
 Five explore variants: uniform random, PBT-style perturbation, GP over
 continuous values with random categories, bandit-selected categories with one
 GP per category, and bandit-selected categories with a single joint mixed
-kernel GP. Exploit is truncation selection: bottom-quantile agents copy a
-random top-quantile agent.
+kernel GP. The three GP variants share one skeleton, `_explore_pb2`. Exploit
+is truncation selection: bottom-quantile agents copy a random top-quantile
+agent.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import bandit as bd
 from .acquisition import AcquisitionConfig, select_batch_continuous
-from .gp import GPHyperparams, GPModel, HyperparamBounds, fit, windowed
+from .gp import GPHyperparams, GPModel, fit, windowed
 from .space import (
     Config,
     Dataset,
@@ -71,7 +72,7 @@ def _sample_h(space: SearchSpace, rng) -> tuple[str, ...]:
 
 def sample_config(space: SearchSpace, rng) -> Config:
     h = _sample_h(space, rng)
-    return Config(x=_sample_x(space.continuous_for(h), rng), h=h)
+    return Config(x=_sample_x(space.continuous, rng), h=h)
 
 
 def explore_random(space: SearchSpace, B: int, rng) -> list[Config]:
@@ -83,9 +84,8 @@ def explore_pbt(replaced_agents, parent_configs, space: SearchSpace, rng) -> lis
     """Perturb each parent: resample with prob 0.25, else scale x by 0.8 or 1.2."""
     out = []
     for parent in parent_configs:
-        params = space.continuous_for(parent.h)
         x = []
-        for p, v in zip(params, parent.x):
+        for p, v in zip(space.continuous, parent.x):
             if rng.random() < _PBT_RESAMPLE_PROB:
                 x.append(rng.uniform(p.lower, p.upper))
             else:
@@ -100,86 +100,83 @@ def explore_pbt(replaced_agents, parent_configs, space: SearchSpace, rng) -> lis
     return out
 
 
-def _continuous_arrays(data: Dataset, params):
-    """Unit-scaled x, empty H, rounds, normalized rewards from a dataset."""
-    y = normalize_rewards(data)
-    X = np.array(
-        [
-            [(v - p.lower) / (p.upper - p.lower) for v, p in zip(obs.config.x, params)]
-            for obs in data.observations
-        ],
-        dtype=float,
-    ).reshape(len(y), len(params))
-    H = np.zeros((len(y), 0), dtype=int)
-    t = np.array([obs.round for obs in data.observations], dtype=float)
-    return windowed(X, H, t, y)
+# Rounds between hyperparameter refits of one GP when a theta cache is given.
+REFIT_EVERY = 5
 
 
-def _mixed_arrays(data: Dataset, space: SearchSpace):
-    y = normalize_rewards(data)
-    params = space.continuous
-    X = np.array(
-        [
-            [(v - p.lower) / (p.upper - p.lower) for v, p in zip(obs.config.x, params)]
-            for obs in data.observations
-        ],
-        dtype=float,
-    ).reshape(len(y), len(params))
-    H = np.array(
-        [space.encode_h(obs.config.h) for obs in data.observations], dtype=int
-    ).reshape(len(y), len(space.categorical))
-    t = np.array([obs.round for obs in data.observations], dtype=float)
-    return windowed(X, H, t, y)
+def _model(data: Dataset, mixed: bool, theta_cache, key, t_round, restarts, seed) -> GPModel:
+    """GP on the windowed columns of data, with normalized rewards as targets.
 
-
-def _fitted_model(X, H, t, y, theta_init, restarts, seed) -> GPModel:
-    init = theta_init if theta_init is not None else GPHyperparams()
-    # The fit reads the model's pairwise structure, and the fitted model shares it.
-    model = GPModel(X, H, t, y, init, HyperparamBounds.default(X.shape[1]))
-    return model.with_theta(fit(model, init, restarts=restarts, seed=seed))
-
-
-def _cached_model(X, H, t, y, theta_cache, key, t_round, restarts, seed,
-                  refit_every) -> GPModel:
-    """Fit hyperparameters, warm-started and optionally on a cadence.
-
-    Between refits the last fitted theta is reused; the model itself always
-    sees the full (windowed) data.
+    H is kept only for a mixed model. Without a theta cache every call fits θ
+    from the default. With one, the θ last fitted under key is reused for
+    REFIT_EVERY rounds and then warm-starts the next fit.
     """
+    H = data.H if mixed else data.H[:, :0]
+    X, H, t, y = windowed(data.X, H, data.t, normalize_rewards(data))
     cached = theta_cache.get(key) if theta_cache is not None else None
-    if cached is not None and t_round - cached[1] < refit_every:
-        bounds = HyperparamBounds.default(X.shape[1])
-        return GPModel(X, H, t, y, cached[0], bounds)
-    init = cached[0] if cached is not None else None
-    model = _fitted_model(X, H, t, y, init, restarts, seed)
+    init = cached[0] if cached is not None else GPHyperparams()
+    model = GPModel(X, H, t, y, init)
+    if cached is not None and t_round - cached[1] < REFIT_EVERY:
+        return model
+    # The fit reads the model's pairwise structure, and the fitted model shares it.
+    model = model.with_theta(fit(model, init, restarts=restarts, seed=seed))
     if theta_cache is not None:
         theta_cache[key] = (model.theta, t_round)
     return model
 
 
-def explore_pb2_rand(
-    data: Dataset,
-    replaced_agents,
-    space: SearchSpace,
-    t: int,
-    rng,
-    acq_cfg: AcquisitionConfig | None = None,
-    restarts: int = 3,
-    theta_cache: dict | None = None,
-    refit_every: int = 1,
-) -> list[Config]:
-    """Random categories; continuous values from a GP that never sees them."""
+def _explore_pb2(data: Dataset, bandit_state, replaced_agents, space: SearchSpace, t: int,
+                 rng, per_arm: bool, acq_cfg: AcquisitionConfig | None = None,
+                 restarts: int = 3, theta_cache: dict | None = None):
+    """The PB2 step shared by pb2-rand, pb2-mult and pb2-mix.
+
+    Categories come first: drawn at random when bandit_state is None, else one
+    bandit play per replaced agent. The data are then split into groups, one
+    per selected arm when per_arm, else one group of all rows. In ascending
+    arm order, a group with fewer than 2 rows (or a space with no continuous
+    parameter) draws x at random; any other draws a fit seed, fits a GP and
+    acquires one x per agent in the group. A GP over all rows sees the
+    categories only when the bandit chose them (pb2-mix); pb2-rand's GP, like
+    a per-arm GP, sees x and t alone. The public pb2 entry points pass
+    acq_cfg, restarts (GP fit restarts) and theta_cache through as keywords.
+    Returns (decision, selection or None).
+    """
     acq_cfg = acq_cfg or AcquisitionConfig()
     B = len(replaced_agents)
-    hs = [_sample_h(space, rng) for _ in range(B)]
+    if bandit_state is None:
+        selection = None
+        hs = [_sample_h(space, rng) for _ in range(B)]
+    else:
+        selection = _assign_arms(bandit_state, replaced_agents, rng)
+        assignments = space.categorical_assignments()
+        hs = [assignments[arm] for arm in selection.arm_of_agent]
+    mixed = bandit_state is not None and not per_arm
+    groups = {None: list(range(B))}
+    if per_arm:
+        groups = {}
+        for slot, arm in enumerate(selection.arm_of_agent):
+            groups.setdefault(arm, []).append(slot)
     params = space.continuous
-    if len(data) < 2 or not params:
-        return [Config(x=_sample_x(params, rng), h=h) for h in hs]
-    X, H, tv, y = _continuous_arrays(data, params)
-    model = _cached_model(X, H, tv, y, theta_cache, "rand", t, restarts,
-                          int(rng.integers(2**31)), refit_every)
-    xs = select_batch_continuous(model, params, B, t, acq_cfg, rng)
-    return [Config(x=tuple(x), h=h) for x, h in zip(xs, hs)]
+    xs: list = [None] * B
+    for arm, slots in sorted(groups.items()):
+        sub = filter_by_category(data, hs[slots[0]]) if per_arm else data
+        if len(sub) < 2 or not params:
+            for slot in slots:
+                xs[slot] = _sample_x(params, rng)
+            continue
+        model = _model(sub, mixed, theta_cache, arm, t, restarts, int(rng.integers(2**31)))
+        fixed_h = [np.array(space.encode_h(hs[s]), dtype=int) for s in slots] if mixed else None
+        picks = select_batch_continuous(model, params, len(slots), t, acq_cfg, rng,
+                                        fixed_h=fixed_h)
+        for slot, x in zip(slots, picks):
+            xs[slot] = tuple(x)
+    return [Config(x=x, h=h) for x, h in zip(xs, hs)], selection
+
+
+def explore_pb2_rand(data: Dataset, replaced_agents, space: SearchSpace, t: int, rng,
+                     **gp_args) -> list[Config]:
+    """Random categories; continuous values from a GP that never sees them."""
+    return _explore_pb2(data, None, replaced_agents, space, t, rng, False, **gp_args)[0]
 
 
 def _assign_arms(bandit_state, replaced_agents, rng):
@@ -191,87 +188,25 @@ def _assign_arms(bandit_state, replaced_agents, rng):
     return BanditSelection(frozenset(arms), p, cap, arm_of_agent)
 
 
-def explore_pb2_mult(
-    data: Dataset,
-    bandit_state: bd.BanditState,
-    replaced_agents,
-    space: SearchSpace,
-    t: int,
-    rng,
-    acq_cfg: AcquisitionConfig | None = None,
-    restarts: int = 3,
-    theta_cache: dict | None = None,
-    refit_every: int = 1,
-):
+def explore_pb2_mult(data: Dataset, bandit_state: bd.BanditState, replaced_agents,
+                     space: SearchSpace, t: int, rng, **gp_args):
     """Bandit-selected categories, one GP per category on its filtered data.
 
     Returns (decision, selection); the caller applies the bandit update once
     the realized rewards are observed.
     """
-    acq_cfg = acq_cfg or AcquisitionConfig()
-    assignments = space.categorical_assignments()
-    selection = _assign_arms(bandit_state, replaced_agents, rng)
-    xs_by_slot: dict[int, tuple[float, ...]] = {}
-    hs_by_slot: dict[int, tuple[str, ...]] = {}
-    by_arm: dict[int, list[int]] = {}
-    for slot, arm in enumerate(selection.arm_of_agent):
-        by_arm.setdefault(arm, []).append(slot)
-    for arm, slots in sorted(by_arm.items()):
-        h = assignments[arm]
-        params = space.continuous_for(h)
-        sub = filter_by_category(data, h)
-        if len(sub) < 2 or not params:
-            for slot in slots:
-                xs_by_slot[slot] = _sample_x(params, rng)
-                hs_by_slot[slot] = h
-            continue
-        X, H, tv, y = _continuous_arrays(sub, params)
-        model = _cached_model(X, H, tv, y, theta_cache, arm, t, restarts,
-                              int(rng.integers(2**31)), refit_every)
-        xs = select_batch_continuous(model, params, len(slots), t, acq_cfg, rng)
-        for slot, x in zip(slots, xs):
-            xs_by_slot[slot] = tuple(x)
-            hs_by_slot[slot] = h
-    decision = [
-        Config(x=xs_by_slot[slot], h=hs_by_slot[slot])
-        for slot in range(len(replaced_agents))
-    ]
-    return decision, selection
+    return _explore_pb2(data, bandit_state, replaced_agents, space, t, rng, True, **gp_args)
 
 
-def explore_pb2_mix(
-    data: Dataset,
-    bandit_state: bd.BanditState,
-    replaced_agents,
-    space: SearchSpace,
-    t: int,
-    rng,
-    acq_cfg: AcquisitionConfig | None = None,
-    restarts: int = 3,
-    theta_cache: dict | None = None,
-    refit_every: int = 1,
-):
+def explore_pb2_mix(data: Dataset, bandit_state: bd.BanditState, replaced_agents,
+                    space: SearchSpace, t: int, rng, **gp_args):
     """Bandit-selected categories; one joint GP with the mixed kernel.
 
     The batch shares a single hallucination chain; each pick's category is
     fixed in the kernel query. The sum/product mixing weight is fitted by MAP
     alongside the other hyperparameters.
     """
-    acq_cfg = acq_cfg or AcquisitionConfig()
-    assignments = space.categorical_assignments()
-    selection = _assign_arms(bandit_state, replaced_agents, rng)
-    hs = [assignments[arm] for arm in selection.arm_of_agent]
-    params = space.continuous
-    if len(data) < 2 or not params:
-        decision = [Config(x=_sample_x(params, rng), h=h) for h in hs]
-        return decision, selection
-    X, H, tv, y = _mixed_arrays(data, space)
-    model = _cached_model(X, H, tv, y, theta_cache, "mix", t, restarts,
-                          int(rng.integers(2**31)), refit_every)
-    fixed_h = [np.array(space.encode_h(h), dtype=int) for h in hs]
-    xs = select_batch_continuous(model, params, len(hs), t, acq_cfg, rng, fixed_h=fixed_h)
-    decision = [Config(x=tuple(x), h=h) for x, h in zip(xs, hs)]
-    return decision, selection
+    return _explore_pb2(data, bandit_state, replaced_agents, space, t, rng, False, **gp_args)
 
 
 def check_truncation(B: int, quantile: float) -> None:

@@ -188,6 +188,49 @@ class TestRunCommand:
         assert not out.exists() or not any(out.iterdir())
 
 
+class TestConfigRejectedAtParseTime:
+    """Each of these used to run (exit 0) or fail at run time (exit 3)."""
+
+    @staticmethod
+    def assert_config_error(tmp_path, capsys, message, **overrides):
+        for command, extra in (("run", {}), ("compare", {"strategies": ["random", "pb2-mult"]})):
+            cfg = write_config(tmp_path, **overrides, **extra)
+            assert cli.main([command, cfg]) == cli.EXIT_CONFIG
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("space, message", [
+        ({**SPACE, "categorcal": []}, "unknown space keys ['categorcal']"),
+        ({"continuous": [{**SPACE["continuous"][0], "log": True}],
+          "categorical": SPACE["categorical"]}, "unknown continuous parameter keys ['log']"),
+        ({**SPACE, "per_category_continuous": {"sin": SPACE["continuous"]}},
+         "unknown space keys ['per_category_continuous']"),
+    ])
+    def test_unknown_space_key(self, tmp_path, capsys, space, message):
+        self.assert_config_error(tmp_path, capsys, message, space=space)
+
+    @pytest.mark.parametrize("objective, args", [
+        ("sincos-switch", {"v": 3}),
+        ("sincos", {"V": 3}),
+        ("sincos-switch", {"T": 10}),
+    ])
+    def test_unknown_objective_argument(self, tmp_path, capsys, objective, args):
+        self.assert_config_error(tmp_path, capsys, "unknown objective_args",
+                                 objective=objective, objective_args=args)
+
+    def test_known_objective_argument_runs(self, tmp_path):
+        cfg = write_config(tmp_path, objective="sincos-switch", objective_args={"V": 1})
+        assert cli.main(["run", cfg]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("seeds", ["ab", [0.5], [-1], [True], [], 3])
+    def test_bad_seeds(self, tmp_path, capsys, seeds):
+        self.assert_config_error(tmp_path, capsys, "seeds must be", seeds=seeds)
+
+    @pytest.mark.parametrize("rounds", [0, -2])
+    def test_rounds_below_one(self, tmp_path, capsys, rounds):
+        self.assert_config_error(tmp_path, capsys, "T_rounds must be >= 1", T_rounds=rounds)
+
+
 class TestCompareCommand:
     def test_wide_csv_and_ordering_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path, strategies=["random", "pbt"], T_rounds=4)

@@ -360,7 +360,8 @@ class TestFit:
     def test_fewer_than_two_returns_init(self):
         init = GPHyperparams(lengthscale=2.5)
         X = np.array([[0.5]])
-        out = fit((X, np.zeros((1, 0), dtype=int), np.array([1.0]), np.array([0.2])), init)
+        model = GPModel(X, np.zeros((1, 0), dtype=int), np.array([1.0]), np.array([0.2]), init)
+        out = fit(model, init)
         assert out == init
 
     def test_improves_objective(self):
@@ -371,8 +372,8 @@ class TestFit:
         H = np.zeros((20, 0), dtype=int)
         init = GPHyperparams()
         bounds = HyperparamBounds.default(1)
-        fitted = fit((X, H, t, y), init, restarts=2, seed=0, bounds=bounds)
         m_init = GPModel(X, H, t, y, init, bounds)
+        fitted = fit(m_init, init, restarts=2, seed=0)
         m_fit = GPModel(X, H, t, y, fitted, bounds)
         assert log_marginal(m_fit) >= log_marginal(m_init) - 1e-9
 
@@ -380,7 +381,8 @@ class TestFit:
         rng = np.random.default_rng(31)
         X, H, t, y = random_dataset(rng, n=10)
         bounds = HyperparamBounds.default(2)
-        fitted = fit((X, H, t, y), GPHyperparams(), restarts=3, seed=1, bounds=bounds)
+        model = GPModel(X, H, t, y, GPHyperparams(), bounds)
+        fitted = fit(model, GPHyperparams(), restarts=3, seed=1)
         arr = fitted.as_array()
         assert np.all(arr >= bounds.lower - 1e-12)
         assert np.all(arr <= bounds.upper + 1e-12)
@@ -388,8 +390,8 @@ class TestFit:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(32)
         X, H, t, y = random_dataset(rng, n=8)
-        a = fit((X, H, t, y), GPHyperparams(), restarts=2, seed=7)
-        b = fit((X, H, t, y), GPHyperparams(), restarts=2, seed=7)
+        a = fit(GPModel(X, H, t, y, GPHyperparams()), GPHyperparams(), restarts=2, seed=7)
+        b = fit(GPModel(X, H, t, y, GPHyperparams()), GPHyperparams(), restarts=2, seed=7)
         assert a == b
 
 
@@ -510,7 +512,8 @@ class TestFitBlasThreads:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(gp, "_ascend", spy)
-        fit(sincos_dataset(20, seed=42), GPHyperparams(), restarts=1, seed=0, max_iter=5)
+        model = GPModel(*sincos_dataset(20, seed=42), GPHyperparams())
+        fit(model, GPHyperparams(), restarts=1, seed=0, max_iter=5)
         assert seen and all(counts == [1] * len(before) for counts in seen)
         assert _blas.get_threads() == before
 
@@ -523,17 +526,18 @@ class TestFitBlasThreads:
 
         monkeypatch.setattr(gp, "_ascend", boom)
         with pytest.raises(RuntimeError):
-            fit(sincos_dataset(20, seed=43), GPHyperparams(), restarts=0)
+            fit(GPModel(*sincos_dataset(20, seed=43), GPHyperparams()), GPHyperparams(),
+                restarts=0)
         assert _blas.get_threads() == before
 
     def test_same_theta_with_one_or_two_caller_threads(self, restore_blas_threads):
         # At this size OpenBLAS splits a Cholesky across the threads it has,
         # which changes its rounding; the fit must not depend on the caller's count.
-        data = sincos_dataset(160, seed=44)
+        model = GPModel(*sincos_dataset(160, seed=44), GPHyperparams())
         fits = []
         for threads in (1, 2):
             _blas.set_threads(threads)
-            theta = fit(data, GPHyperparams(), restarts=0, seed=0, max_iter=15)
+            theta = fit(model, GPHyperparams(), restarts=0, seed=0, max_iter=15)
             fits.append(theta.as_array().tobytes())
         assert fits[0] == fits[1]
 

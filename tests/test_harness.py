@@ -3,10 +3,12 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from popbandit.acquisition import AcquisitionConfig
 from popbandit.harness import (
     OBJECTIVES,
+    SyntheticObjective,
     bandit_sim,
     bernoulli_swap_table,
     changepoint_objective,
@@ -14,7 +16,13 @@ from popbandit.harness import (
     sincos_objective,
     sincos_space,
 )
-from popbandit.space import Config
+from popbandit.space import (
+    CategoricalParam,
+    Config,
+    ContinuousParam,
+    SearchSpace,
+    validate_config,
+)
 from popbandit.strategies import StrategyKind
 
 FAST_ACQ = AcquisitionConfig(n_candidates=50, n_refine_steps=3)
@@ -123,6 +131,49 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(sincos_space(), sincos_objective(),
                            StrategyKind.RANDOM, B=1, T_rounds=5)
+
+
+@st.composite
+def small_spaces(draw):
+    n_cont = draw(st.integers(0, 2))
+    n_cat = draw(st.integers(0 if n_cont else 1, 2))
+    continuous = []
+    for i in range(n_cont):
+        lower = draw(st.floats(-2.0, 2.0))
+        continuous.append(ContinuousParam(f"x{i}", lower, lower + draw(st.floats(0.1, 3.0))))
+    categorical = []
+    for i in range(n_cat):
+        n_choices = draw(st.integers(2, 3))
+        categorical.append(CategoricalParam(f"h{i}", tuple(f"c{k}" for k in range(n_choices))))
+    return SearchSpace(tuple(continuous), tuple(categorical))
+
+
+class TestEveryAcceptedSpaceRuns:
+    @settings(max_examples=150, deadline=None)
+    @given(space=small_spaces(), strategy=st.sampled_from(list(StrategyKind)),
+           B=st.integers(2, 5), T=st.integers(1, 4), quantile=st.sampled_from([0.25, 0.5]),
+           seed=st.integers(0, 2**16))
+    def test_completes_or_refuses_before_round_one(self, space, strategy, B, T, quantile, seed):
+        calls = []
+
+        def evaluate(config, round_):
+            # Works on any space: a smooth term per continuous value, a bonus per first label.
+            calls.append(round_)
+            return (sum(math.sin(v) for v in config.x)
+                    + sum(0.3 for p, label in zip(space.categorical, config.h)
+                          if label == p.choices[0]))
+
+        objective = SyntheticObjective("any-space", evaluate, lambda _round: 5.0)
+        try:
+            record = run_experiment(space, objective, strategy, B, T, quantile=quantile,
+                                    seed=seed, acq_cfg=FAST_ACQ, gp_restarts=0)
+        except ValueError:
+            assert calls == []
+            return
+        assert len(record.cum_regret) == T and len(record.rows) == B * T
+        for row in record.rows:
+            h = tuple(row["h"].split("|")) if space.categorical else ()
+            assert validate_config(space, Config(row["x"], h))
 
 
 class TestBernoulliSwapTable:

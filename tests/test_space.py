@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from popbandit.space import (
     Config,
     ContinuousParam,
     Dataset,
-    Observation,
     SearchSpace,
     filter_by_category,
     normalize_rewards,
@@ -25,11 +25,10 @@ def sincos_space():
 
 
 def make_dataset(rewards, hs=None):
-    data = Dataset()
+    data = Dataset(sincos_space())
     for i, r in enumerate(rewards):
         h = (hs[i],) if hs else ("sin",)
-        data.append(Observation(round=i + 1, agent=0, config=Config((0.5,), h),
-                                raw_score=r, reward=r))
+        data.append(i + 1, Config((0.5,), h), r)
     return data
 
 
@@ -65,29 +64,16 @@ class TestValidateConfig:
         assert not validate_config(sincos_space(), Config((0.5, 0.5), ("sin",)))
         assert not validate_config(sincos_space(), Config((0.5,), ()))
 
-    def test_per_category_dims(self):
-        space = SearchSpace(
-            continuous=(ContinuousParam("x", 0.0, 1.0),),
-            categorical=(CategoricalParam("h", ("a", "b")),),
-            per_category_continuous={
-                ("a",): (ContinuousParam("u", 0.0, 1.0), ContinuousParam("v", 0.0, 1.0)),
-                ("b",): (ContinuousParam("u", 0.0, 1.0),),
-            },
-        )
-        assert validate_config(space, Config((0.1, 0.2), ("a",)))
-        assert validate_config(space, Config((0.1,), ("b",)))
-        assert not validate_config(space, Config((0.1,), ("a",)))
-
 
 class TestFilterByCategory:
     def test_filters_in_order(self):
         data = make_dataset([1.0, 2.0, 3.0], hs=["sin", "cos", "sin"])
         sub = filter_by_category(data, ("sin",))
-        assert [o.reward for o in sub.observations] == [1.0, 3.0]
-        assert [o.round for o in sub.observations] == [1, 3]
+        assert sub.reward.tolist() == [1.0, 3.0]
+        assert sub.t.tolist() == [1.0, 3.0]
 
     def test_empty_dataset(self):
-        assert len(filter_by_category(Dataset(), ("sin",))) == 0
+        assert len(filter_by_category(Dataset(sincos_space()), ("sin",))) == 0
 
     def test_no_match(self):
         data = make_dataset([1.0], hs=["sin"])
@@ -98,10 +84,10 @@ class TestFilterByCategory:
         hs = [["sin", "cos"][i] for i in rng.integers(0, 2, size=30)]
         data = make_dataset(list(rng.normal(size=30)), hs=hs)
         merged = (
-            [o.reward for o in filter_by_category(data, ("sin",)).observations]
-            + [o.reward for o in filter_by_category(data, ("cos",)).observations]
+            filter_by_category(data, ("sin",)).reward.tolist()
+            + filter_by_category(data, ("cos",)).reward.tolist()
         )
-        assert sorted(merged) == sorted(o.reward for o in data.observations)
+        assert sorted(merged) == sorted(data.reward.tolist())
 
 
 class TestNormalizeRewards:
@@ -119,7 +105,7 @@ class TestNormalizeRewards:
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            normalize_rewards(Dataset())
+            normalize_rewards(Dataset(sincos_space()))
 
     @given(
         st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=20),
@@ -139,24 +125,19 @@ class TestDataset:
     def test_rounds_must_not_decrease(self):
         data = make_dataset([1.0, 2.0])
         with pytest.raises(ValueError):
-            data.append(Observation(round=0, agent=0,
-                                    config=Config((0.5,), ("sin",)),
-                                    raw_score=0.0, reward=0.0))
+            data.append(0, Config((0.5,), ("sin",)), 0.0)
 
     @pytest.mark.parametrize("reward", [math.nan, math.inf, -math.inf])
     def test_non_finite_reward_rejected(self, reward):
         data = make_dataset([1.0, 2.0])
         with pytest.raises(ValueError, match="finite"):
-            data.append(Observation(round=5, agent=0,
-                                    config=Config((0.5,), ("sin",)),
-                                    raw_score=0.0, reward=reward))
-        assert len(data) == 2
-        assert data.reward_max == 2.0
+            data.append(5, Config((0.5,), ("sin",)), reward)
+        assert data.reward.tolist() == [1.0, 2.0]
 
     def test_extrema_tracking(self):
+        # Normalization spans the extrema of every reward appended so far.
         data = make_dataset([3.0, -1.0, 2.0])
-        assert data.reward_min == -1.0
-        assert data.reward_max == 3.0
+        assert normalize_rewards(data).tolist() == [1.0, 0.0, 0.75]
 
 
 class TestJsonLoading:
@@ -165,7 +146,7 @@ class TestJsonLoading:
         {"continuous": [{"name": "x", "lower": 0.0, "upper": 1.5707963}],
          "categorical": [{"name": "h", "choices": ["sin", "cos"]}]}
         """
-        space = SearchSpace.from_json(doc)
+        space = SearchSpace.from_dict(json.loads(doc))
         assert space.continuous[0].name == "x"
         assert space.categorical[0].choices == ("sin", "cos")
         assert space.n_arms == 2
@@ -180,5 +161,75 @@ class TestJsonLoading:
         )
         assignments = space.categorical_assignments()
         assert len(assignments) == 6
+        # Arm i is the assignment whose codes spell i in mixed radix (2, 3).
         for i, h in enumerate(assignments):
-            assert space.arm_index(h) == i
+            a, b = space.encode_h(h)
+            assert 3 * a + b == i
+
+    @pytest.mark.parametrize("doc", [
+        {"continuous": [], "categorcal": []},
+        {"continuous": [{"name": "x", "lower": 0.0, "upper": 1.0, "log": True}]},
+        {"categorical": [{"name": "h", "choices": ["a", "b"], "weights": [1, 1]}]},
+        {"continuous": [{"name": "x", "lower": 0.0, "upper": 1.0}],
+         "categorical": [{"name": "h", "choices": ["a", "b"]}],
+         "per_category_continuous": {"a": [{"name": "u", "lower": 0.0, "upper": 1.0}]}},
+    ])
+    def test_unknown_keys_rejected(self, doc):
+        with pytest.raises(ValueError, match="unknown"):
+            SearchSpace.from_dict(doc)
+
+
+def two_by_three_space():
+    return SearchSpace(
+        continuous=(ContinuousParam("u", -1.0, 3.0), ContinuousParam("v", 0.1, 0.7)),
+        categorical=(CategoricalParam("a", ("p", "q")), CategoricalParam("b", ("u", "v", "w"))),
+    )
+
+
+class TestDatasetColumns:
+    def test_columns_hold_scaled_x_codes_rounds_and_rewards(self):
+        space = two_by_three_space()
+        rng = np.random.default_rng(0)
+        data = Dataset(space)
+        configs = [Config(tuple(rng.uniform(p.lower, p.upper) for p in space.continuous),
+                          space.categorical_assignments()[rng.integers(6)])
+                   for _ in range(37)]  # past several capacity doublings
+        for i, config in enumerate(configs):
+            data.append(1 + i // 4, config, float(i))
+        assert len(data) == 37
+        # Bit-identical to scaling each value on its own.
+        expected = [[(v - p.lower) / (p.upper - p.lower) for v, p in zip(c.x, space.continuous)]
+                    for c in configs]
+        assert data.X.tobytes() == np.array(expected).tobytes()
+        assert data.H.tolist() == [list(space.encode_h(c.h)) for c in configs]
+        assert data.t.tolist() == [float(1 + i // 4) for i in range(37)]
+        assert data.reward.tolist() == [float(i) for i in range(37)]
+
+    def test_views_taken_earlier_do_not_change(self):
+        data = Dataset(two_by_three_space())
+        data.append(1, Config((0.0, 0.4), ("p", "u")), 1.0)
+        X, reward = data.X, data.reward
+        first = X.tolist()
+        for i in range(20):
+            data.append(2, Config((1.0, 0.2), ("q", "w")), 2.0)
+        assert X.tolist() == first and reward.tolist() == [1.0]
+        assert data.X[0].tolist() == first[0] and len(data.X) == 21
+
+    def test_filter_masks_on_every_categorical_column(self):
+        space = two_by_three_space()
+        data = Dataset(space)
+        for i, h in enumerate(space.categorical_assignments() * 2):
+            data.append(1, Config((0.0, 0.4), h), float(i))
+        sub = filter_by_category(data, ("q", "v"))
+        assert sub.reward.tolist() == [4.0, 10.0]
+        assert sub.H.tolist() == [[1, 1], [1, 1]]
+        assert normalize_rewards(sub).tolist() == [0.0, 1.0]
+
+    def test_space_without_categories_keeps_every_row(self):
+        space = SearchSpace(continuous=(ContinuousParam("x", 0.0, 2.0),), categorical=())
+        data = Dataset(space)
+        for i in range(3):
+            data.append(1, Config((float(i),), ()), float(i))
+        assert data.H.shape == (3, 0)
+        assert data.X[:, 0].tolist() == [0.0, 0.5, 1.0]
+        assert len(filter_by_category(data, ())) == 3

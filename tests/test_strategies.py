@@ -6,13 +6,12 @@ import pytest
 from popbandit import bandit as bd
 from popbandit import strategies
 from popbandit.acquisition import AcquisitionConfig
-from popbandit.gp import GPHyperparams, HyperparamBounds, fit
+from popbandit.gp import GPHyperparams, GPModel, fit
 from popbandit.space import (
     CategoricalParam,
     Config,
     ContinuousParam,
     Dataset,
-    Observation,
     SearchSpace,
     validate_config,
 )
@@ -36,13 +35,12 @@ def sincos_space():
 
 
 def seeded_dataset(space, rng, n_rounds=6, B=4):
-    data = Dataset()
+    data = Dataset(space)
     for t in range(1, n_rounds + 1):
         for b in range(B):
             cfg = sample_config(space, rng)
             f = math.sin(cfg.x[0]) if cfg.h[0] == "sin" else math.cos(cfg.x[0])
-            data.append(Observation(round=t, agent=b, config=cfg,
-                                    raw_score=f, reward=f))
+            data.append(t, cfg, f)
     return data
 
 
@@ -116,7 +114,7 @@ class TestExplorePb2Rand:
     def test_cold_start_random(self):
         space = sincos_space()
         rng = np.random.default_rng(5)
-        out = explore_pb2_rand(Dataset(), [0, 1], space, 1, rng, acq_cfg=ACQ)
+        out = explore_pb2_rand(Dataset(space), [0, 1], space, 1, rng, acq_cfg=ACQ)
         assert len(out) == 2
         assert all(validate_config(space, c) for c in out)
 
@@ -133,16 +131,35 @@ class TestExplorePb2Rand:
 class TestFittedModel:
     @pytest.mark.parametrize("m", [0, 1])
     def test_holds_the_theta_a_fit_on_the_arrays_gives(self, m):
-        rng = np.random.default_rng(8)
-        X = rng.uniform(size=(30, 1))
-        H = rng.integers(0, 2, size=(30, m))
-        t = np.arange(1.0, 31.0)
-        y = np.sin(3 * X[:, 0]) + 0.1 * rng.normal(size=30)
-        model = strategies._fitted_model(X, H, t, y, None, restarts=1, seed=3)
-        expected = fit((X, H, t, y), GPHyperparams(), restarts=1, seed=3,
-                       bounds=HyperparamBounds.default(1))
+        space = sincos_space()
+        data = seeded_dataset(space, np.random.default_rng(8), n_rounds=8)
+        model = strategies._model(data, bool(m), None, None, 9, restarts=1, seed=3)
+        y = strategies.normalize_rewards(data)
+        H = data.H[:, :m]
+        expected = fit(GPModel(data.X, H, data.t, y, GPHyperparams()), GPHyperparams(),
+                       restarts=1, seed=3)
         assert model.theta == expected
-        assert model.n == 30 and model.mixed == bool(m)
+        assert model.n == 32 and model.mixed == bool(m)
+        assert model.H.tolist() == H.tolist() and model.y.tolist() == y.tolist()
+
+    def test_theta_cache_refits_every_few_rounds(self, monkeypatch):
+        space = sincos_space()
+        data = seeded_dataset(space, np.random.default_rng(9))
+        fits = []
+        real = strategies.fit
+
+        def counting_fit(model, init, **kwargs):
+            fits.append(init)
+            return real(model, init, **kwargs)
+
+        monkeypatch.setattr(strategies, "fit", counting_fit)
+        cache = {}
+        thetas = [strategies._model(data, False, cache, 0, t, restarts=0, seed=t).theta
+                  for t in range(1, 12)]
+        # Fits at rounds 1, 6 and 11; the rounds between reuse the last theta.
+        assert len(fits) == 3 and fits[0] == GPHyperparams()
+        assert fits[1] == thetas[0] and fits[2] == thetas[5]
+        assert thetas[1:5] == [thetas[0]] * 4 and cache[0][1] == 11
 
 
 class TestExplorePb2Mult:
@@ -164,12 +181,10 @@ class TestExplorePb2Mult:
     def test_sparse_category_falls_back_to_random(self):
         space = sincos_space()
         rng = np.random.default_rng(8)
-        data = Dataset()
+        data = Dataset(space)
         # Only sin observations; a cos pick has < 2 filtered points.
         for t in range(1, 5):
-            data.append(Observation(round=t, agent=0,
-                                    config=Config((0.3,), ("sin",)),
-                                    raw_score=1.0, reward=math.sin(0.3)))
+            data.append(t, Config((0.3,), ("sin",)), math.sin(0.3))
         state = bd.new_bandit(2, 2, 20)
         decision, _ = explore_pb2_mult(data, state, [0, 1], space, 5, rng,
                                        acq_cfg=ACQ, restarts=0)
@@ -204,7 +219,7 @@ class TestExplorePb2Mix:
         rng = np.random.default_rng(11)
         state = bd.new_bandit(2, 2, 20)
         decision, selection = explore_pb2_mix(
-            Dataset(), state, [0, 1], space, 1, rng, acq_cfg=ACQ)
+            Dataset(space), state, [0, 1], space, 1, rng, acq_cfg=ACQ)
         assert all(validate_config(space, c) for c in decision)
         assert len(selection.arm_of_agent) == 2
 
