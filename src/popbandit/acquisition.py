@@ -12,6 +12,7 @@ golden-section refinement.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,19 @@ class AcquisitionConfig:
     n_refine_steps: int = 20
 
     def __post_init__(self):
-        if self.c1 < 0 or self.c2 < 0:
-            raise ValueError("c1 and c2 must be non-negative")
-        if self.n_candidates < 1:
-            raise ValueError("n_candidates must be >= 1")
+        for name in ("c1", "c2"):
+            value = getattr(self, name)
+            if not (_is_a(value, numbers.Real) and math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite real >= 0, got {value!r}")
+        for name, least in (("n_candidates", 1), ("n_refine_steps", 0)):
+            value = getattr(self, name)
+            if not (_is_a(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _is_a(value, kind) -> bool:
+    """isinstance(value, kind), with a bool counting as no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def beta(t: int, cfg: AcquisitionConfig) -> float:

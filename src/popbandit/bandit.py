@@ -116,32 +116,42 @@ def arm_probabilities(state: BanditState, cap: CapResult) -> np.ndarray:
 def depround(B: int, p: np.ndarray, rng: np.random.Generator) -> set[int]:
     """Sample exactly B distinct indices with inclusion marginals exactly p.
 
-    Pairwise dependent rounding: repeatedly pick two fractional coordinates
-    and shift probability mass between them until one settles at 0 or 1.
+    Pairwise dependent rounding (Gandhi et al., JACM 2006): repeatedly take the
+    two lowest-indexed fractional coordinates and shift probability mass between
+    them until one settles at 0 or 1. A step changes only those two, so the
+    survivors of the pair go back on top of the others, still in index order:
+    the same pairs as rescanning all C arms after every step, with the same
+    `rng.random()` draws and the same arithmetic. Each step settles at least one
+    coordinate, so a round is at most C steps of O(1) each: O(C), not O(C^2).
     """
-    p = np.asarray(p, dtype=float).copy()
+    p = np.asarray(p, dtype=float)
     if abs(p.sum() - B) > 1e-6:
         raise ValueError(f"probabilities must sum to B={B}, got {p.sum()}")
     if np.any(p < -1e-9) or np.any(p > 1 + 1e-9):
         raise ValueError("probabilities must lie in [0, 1]")
-    p = np.clip(p, 0.0, 1.0)
-    eps = 1e-12
-    frac = [i for i in range(len(p)) if eps < p[i] < 1 - eps]
-    while len(frac) >= 2:
-        i, j = frac[0], frac[1]
-        a = min(1.0 - p[i], p[j])
-        b = min(p[i], 1.0 - p[j])
+    q = np.clip(p, 0.0, 1.0).tolist()
+    lo, hi = 1e-12, 1 - 1e-12
+    # Fractional indices, lowest on top: the pair is always the top two.
+    stack = [i for i in range(len(q) - 1, -1, -1) if lo < q[i] < hi]
+    while len(stack) >= 2:
+        i = stack.pop()
+        j = stack.pop()
+        pi, pj = q[i], q[j]
+        a = min(1.0 - pi, pj)
+        b = min(pi, 1.0 - pj)
         if rng.random() < b / (a + b):
-            p[i] += a
-            p[j] -= a
+            pi, pj = pi + a, pj - a
         else:
-            p[i] -= b
-            p[j] += b
-        frac = [k for k in frac if eps < p[k] < 1 - eps]
-    if frac:
+            pi, pj = pi - b, pj + b
+        q[i], q[j] = pi, pj
+        if lo < pj < hi:
+            stack.append(j)
+        if lo < pi < hi:
+            stack.append(i)
+    if stack:
         # Single leftover fractional mass is rounding noise; snap it.
-        p[frac[0]] = round(p[frac[0]])
-    chosen = {int(i) for i in np.flatnonzero(p > 0.5)}
+        q[stack[0]] = round(q[stack[0]])
+    chosen = {i for i, v in enumerate(q) if v > 0.5}
     if len(chosen) != B:
         raise RuntimeError("dependent rounding failed to settle at exactly B arms")
     return chosen
@@ -169,6 +179,11 @@ def update(
     ghat(c) = g(c)/p_c on the selected arms, 0 elsewhere. Uncapped arms get the
     multiplicative update exp(B*gamma*ghat/C); capped arms (S0) get only the
     uniform additive term, so a dominant arm cannot grow further.
+
+    An arm off the batch has factor exp(0.0) == 1.0 exactly, so `math.exp` runs
+    only for the at most B selected uncapped arms, and the additive term is one
+    vector add over all C weights: O(C) per round, with the same bits as a loop
+    that multiplies every arm by its factor.
     """
     if state.round >= state.T:
         raise ValueError("bandit horizon exhausted")
@@ -178,16 +193,11 @@ def update(
         if not 0.0 <= val <= 1.0:
             raise ValueError(f"reward for arm {c} outside [0,1]: {val}")
     w = cap.capped_weights.copy()
-    total = w.sum()
-    additive = _E * state.alpha / state.C * total
-    ghat = np.zeros(state.C)
+    additive = _E * state.alpha / state.C * w.sum()
     for c in selected:
-        ghat[c] = g.get(c, 0.0) / p[c]
-    for c in range(state.C):
-        if c in cap.s0:
-            w[c] = w[c] + additive
-        else:
-            w[c] = w[c] * math.exp(state.B * state.gamma * ghat[c] / state.C) + additive
+        if c not in cap.s0:
+            w[c] = w[c] * math.exp(state.B * state.gamma * (g.get(c, 0.0) / p[c]) / state.C)
+    w += additive
     if w.max() > _WEIGHT_RESCALE_THRESHOLD:
         w /= w.max()
     return BanditState(

@@ -89,6 +89,13 @@ def _require(cfg: dict, field: str):
     return cfg[field]
 
 
+def _require_int(cfg: dict, field: str) -> int:
+    value = _require(cfg, field)
+    if type(value) is not int:  # not bool, float or a numeric string
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_run_config(cfg: dict):
     unknown = sorted(set(cfg) - CONFIG_KEYS)
     if unknown:
@@ -101,8 +108,8 @@ def _parse_run_config(cfg: dict):
     if not (isinstance(seeds, list) and seeds
             and all(type(s) is int and s >= 0 for s in seeds)):
         raise ConfigError(f"seeds must be a nonempty list of non-negative integers, got {seeds!r}")
-    B = int(_require(cfg, "B"))
-    T_rounds = int(_require(cfg, "T_rounds"))
+    B = _require_int(cfg, "B")
+    T_rounds = _require_int(cfg, "T_rounds")
     if T_rounds < 1:
         raise ConfigError(f"T_rounds must be >= 1, got {T_rounds}")
     quantile = float(cfg.get("quantile", 0.25))
@@ -336,8 +343,10 @@ def cmd_gradcheck(seed: int = 0, n_instances: int = 100) -> int:
 def cmd_banditsim(C: int, B: int, T: int, V: int, seeds: list[int],
                   out: str | None = None) -> int:
     try:
-        if not (2 <= C and 1 <= B <= C and T >= 1 and 0 <= V < T and seeds):
-            raise ValueError("require 2<=C, 1<=B<=C, T>=1, 0<=V<T, nonempty seeds")
+        if not (2 <= C and 1 <= B <= C and T >= 1 and 0 <= V < T and seeds
+                and min(seeds) >= 0):
+            raise ValueError("require 2<=C, 1<=B<=C, T>=1, 0<=V<T, nonempty "
+                             "non-negative seeds")
     except (ValueError, TypeError) as exc:
         print(f"flag error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -237,15 +237,15 @@ def bandit_sim(table: np.ndarray, B: int, seeds) -> BanditSimResult:
     T, C = table.shape
     regret = np.zeros(T)
     inclusion = np.zeros((T, C))
+    best = [np.sort(table[t])[::-1][:B].mean() for t in range(T)]
     for seed in seeds:
         rng = np.random.default_rng(seed)
         state = bd.new_bandit(C, B, T)
         for t in range(T):
             arms, p, cap = bd.select_batch(state, rng)
             g = {c: float(rng.random() < table[t, c]) for c in arms}
-            best = np.sort(table[t])[::-1][:B].mean()
             got = np.mean([table[t, c] for c in arms])
-            regret[t] += best - got
+            regret[t] += best[t] - got
             for c in arms:
                 inclusion[t, c] += 1.0
             state = bd.update(state, arms, p, cap, g)

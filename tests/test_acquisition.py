@@ -40,6 +40,22 @@ class TestBeta:
         with pytest.raises(ValueError):
             AcquisitionConfig(n_candidates=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("c1", math.nan), ("c1", math.inf), ("c1", True), ("c1", "0.2"),
+        ("c2", -0.5), ("c2", -math.inf), ("c2", None),
+        ("n_candidates", 2.5), ("n_candidates", True), ("n_candidates", "10"),
+        ("n_refine_steps", -3), ("n_refine_steps", 1.5), ("n_refine_steps", False),
+        ("n_refine_steps", "2"),
+    ])
+    def test_field_type_and_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AcquisitionConfig(**{field: value})
+
+    def test_accepted_numbers(self):
+        cfg = AcquisitionConfig(c1=0, c2=np.float64(0.5), n_candidates=np.int64(5),
+                                n_refine_steps=0)
+        assert (cfg.c1, cfg.n_candidates, cfg.n_refine_steps) == (0, 5, 0)
+
 
 class TestSelectBatch:
     def test_within_bounds(self):

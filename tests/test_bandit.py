@@ -316,3 +316,179 @@ class TestTrackingBehavior:
             early.append(np.mean(regrets[: T // 4]))
             late.append(np.mean(regrets[T // 2:]))
         assert np.mean(late) < np.mean(early)
+
+
+# Test-local copies of the O(C^2) round, the oracles for the O(C) one: the
+# arm set, the rng stream and every weight must match bit for bit.
+
+def oracle_depround(B, p, rng):
+    p = np.asarray(p, dtype=float).copy()
+    if abs(p.sum() - B) > 1e-6:
+        raise ValueError(f"probabilities must sum to B={B}, got {p.sum()}")
+    if np.any(p < -1e-9) or np.any(p > 1 + 1e-9):
+        raise ValueError("probabilities must lie in [0, 1]")
+    p = np.clip(p, 0.0, 1.0)
+    eps = 1e-12
+    frac = [i for i in range(len(p)) if eps < p[i] < 1 - eps]
+    while len(frac) >= 2:
+        i, j = frac[0], frac[1]
+        a = min(1.0 - p[i], p[j])
+        b = min(p[i], 1.0 - p[j])
+        if rng.random() < b / (a + b):
+            p[i] += a
+            p[j] -= a
+        else:
+            p[i] -= b
+            p[j] += b
+        frac = [k for k in frac if eps < p[k] < 1 - eps]
+    if frac:
+        p[frac[0]] = round(p[frac[0]])
+    chosen = {int(i) for i in np.flatnonzero(p > 0.5)}
+    if len(chosen) != B:
+        raise RuntimeError("dependent rounding failed to settle at exactly B arms")
+    return chosen
+
+
+def oracle_update(state, selected, p, cap, g):
+    if state.round >= state.T:
+        raise ValueError("bandit horizon exhausted")
+    if set(g) - set(selected):
+        raise ValueError("reward provided for an arm outside the selected batch")
+    for c, val in g.items():
+        if not 0.0 <= val <= 1.0:
+            raise ValueError(f"reward for arm {c} outside [0,1]: {val}")
+    w = cap.capped_weights.copy()
+    total = w.sum()
+    additive = E * state.alpha / state.C * total
+    ghat = np.zeros(state.C)
+    for c in selected:
+        ghat[c] = g.get(c, 0.0) / p[c]
+    for c in range(state.C):
+        if c in cap.s0:
+            w[c] = w[c] + additive
+        else:
+            w[c] = w[c] * math.exp(state.B * state.gamma * ghat[c] / state.C) + additive
+    if w.max() > 1e100:
+        w /= w.max()
+    return bd.BanditState(C=state.C, B=state.B, T=state.T, weights=w, gamma=state.gamma,
+                          alpha=state.alpha, round=state.round + 1)
+
+
+def oracle_bandit_sim(table, B, seeds):
+    T, C = table.shape
+    regret = np.zeros(T)
+    inclusion = np.zeros((T, C))
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        state = bd.new_bandit(C, B, T)
+        for t in range(T):
+            arms, p, cap = bd.select_batch(state, rng)
+            g = {c: float(rng.random() < table[t, c]) for c in arms}
+            best = np.sort(table[t])[::-1][:B].mean()
+            got = np.mean([table[t, c] for c in arms])
+            regret[t] += best - got
+            for c in arms:
+                inclusion[t, c] += 1.0
+            state = bd.update(state, arms, p, cap, g)
+    regret /= len(seeds)
+    inclusion /= len(seeds)
+    return regret, np.cumsum(regret), inclusion
+
+
+# Offsets at, or within 1e-12 of, the settle thresholds (and just outside [0, 1]).
+EDGE_OFFSETS = (0.0, 1e-13, 5e-13, 1e-12, 1.5e-12, 2e-12, -1e-10)
+ORACLE_C = (2, 3, 17, 64, 200)
+
+
+def edge_case_probabilities(rng, C):
+    """p summing to an integer B, with entries at or near 0 and 1 among fractional pairs."""
+    p = []
+    while len(p) < C:
+        kind = rng.integers(4)
+        if kind == 0:
+            p.append(float(rng.choice(EDGE_OFFSETS)))
+        elif kind == 1:
+            p.append(1.0 - float(rng.choice(EDGE_OFFSETS)))
+        elif len(p) + 2 <= C:
+            u = float(rng.uniform())
+            p += [u, 1.0 - u]
+        else:
+            p.append(0.0)
+    p = np.array(p)
+    rng.shuffle(p)
+    return int(round(p.sum())), p
+
+
+def random_state(rng, C, top_weight=1.0, flat=False):
+    """Weights with the largest at top_weight: spread out (a cap is likely) or flat (none)."""
+    B = int(rng.integers(1, C))
+    s = bd.new_bandit(C, B, 2000)
+    if flat:
+        w = rng.uniform(0.5, 1.0, size=C)
+    else:
+        w = rng.lognormal(sigma=3.0, size=C)
+        w[rng.integers(C)] *= 1e3
+    s.weights = w * (top_weight / w.max())
+    return s
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+class TestLinearRoundMatchesOracle:
+    @pytest.mark.parametrize("C", ORACLE_C)
+    def test_depround_same_set_and_rng_state(self, C):
+        rng = np.random.default_rng(C)
+        cases = [edge_case_probabilities(rng, C) for _ in range(40)]
+        capped = 0
+        for _ in range(10):
+            s = random_state(rng, C)
+            cap = bd.cap_weights(s)
+            capped += bool(cap.s0)
+            cases.append((s.B, bd.arm_probabilities(s, cap)))
+        assert C == 2 or capped > 0
+        for k, (B, p) in enumerate(cases):
+            before = p.copy()
+            r_new, r_old = np.random.default_rng(k), np.random.default_rng(k)
+            got = outcome(bd.depround, B, p, r_new)
+            assert got == outcome(oracle_depround, B, p, r_old), (B, p)
+            assert r_new.random() == r_old.random()
+            assert np.array_equal(p, before)
+
+    @pytest.mark.parametrize("C", ORACLE_C)
+    def test_update_same_weights_bit_for_bit(self, C):
+        rng = np.random.default_rng(100 + C)
+        seen = {"s0": 0, "zero_reward": 0, "rescaled": 0}
+        for k in range(30):
+            # Every third state is uncapped at the 1e100 ceiling, so the update rescales.
+            s = random_state(rng, C, *((1e100, True) if k % 3 == 0 else (1.0, False)))
+            s.round = int(rng.integers(0, s.T))
+            cap = bd.cap_weights(s)
+            p = bd.arm_probabilities(s, cap)
+            arms = bd.depround(s.B, p, rng)
+            g = {c: float(rng.choice([0.0, 1.0, rng.uniform()])) for c in arms
+                 if rng.random() < 0.8}
+            new, old = bd.update(s, arms, p, cap, g), oracle_update(s, arms, p, cap, g)
+            assert new.weights.tobytes() == old.weights.tobytes()
+            assert (new.round, new.gamma, new.alpha) == (old.round, old.gamma, old.alpha)
+            seen["s0"] += bool(cap.s0 & arms)
+            seen["zero_reward"] += any(g.get(c, 0.0) == 0.0 for c in arms)
+            seen["rescaled"] += bool(old.weights.max() == 1.0)
+        assert seen["zero_reward"] > 0 and seen["rescaled"] > 0
+        assert C == 2 or seen["s0"] > 0
+
+    def test_bandit_sim_equals_oracle_run(self, monkeypatch):
+        from popbandit.harness import bandit_sim, bernoulli_swap_table
+
+        table = bernoulli_swap_table(0.9, 0.1, 300, V=3, C=64)
+        result = bandit_sim(table, 8, [0, 1, 2])
+        monkeypatch.setattr(bd, "depround", oracle_depround)
+        monkeypatch.setattr(bd, "update", oracle_update)
+        regret, cum, inclusion = oracle_bandit_sim(table, 8, [0, 1, 2])
+        assert np.array_equal(result.per_round_regret, regret)
+        assert np.array_equal(result.cum_regret, cum)
+        assert np.array_equal(result.inclusion_freq, inclusion)

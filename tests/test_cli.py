@@ -230,6 +230,18 @@ class TestConfigRejectedAtParseTime:
     def test_rounds_below_one(self, tmp_path, capsys, rounds):
         self.assert_config_error(tmp_path, capsys, "T_rounds must be >= 1", T_rounds=rounds)
 
+    @pytest.mark.parametrize("field, value", [
+        ("B", 2.9), ("B", 4.0), ("B", "4"), ("B", True),
+        ("T_rounds", 2.5), ("T_rounds", "3"), ("T_rounds", True),
+    ])
+    def test_non_integer_size(self, tmp_path, capsys, field, value):
+        self.assert_config_error(tmp_path, capsys, f"{field} must be an integer", **{field: value})
+
+    @pytest.mark.parametrize("acquisition", [{"n_candidates": 2.5}, {"n_refine_steps": -3}])
+    def test_bad_acquisition(self, tmp_path, capsys, acquisition):
+        self.assert_config_error(tmp_path, capsys, f"{next(iter(acquisition))} must be",
+                                 acquisition=acquisition)
+
 
 class TestCompareCommand:
     def test_wide_csv_and_ordering_output(self, tmp_path, capsys):
@@ -296,6 +308,11 @@ class TestBanditSim:
     def test_bad_flags_are_config_error(self):
         assert cli.main(["bandit-sim", "--C", "1"]) == cli.EXIT_CONFIG
         assert cli.main(["bandit-sim", "--B", "5", "--C", "2"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("seeds", [["-1"], ["0", "-3"]])
+    def test_negative_seed_is_flag_error(self, capsys, seeds):
+        assert cli.main(["bandit-sim", "--T", "10", "--seeds", *seeds]) == cli.EXIT_CONFIG
+        assert "flag error:" in capsys.readouterr().err
 
     def test_tracking_frequency_reported_with_swap(self, capsys):
         rc = cli.main(["bandit-sim", "--T", "60", "--V", "1",
