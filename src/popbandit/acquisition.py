@@ -4,10 +4,12 @@ Picks are made sequentially: the mean surface is frozen at the start of the
 batch, while each chosen point is hallucinated, so later picks see reduced
 variance there (the variance does not depend on targets). Following GP-BUCB
 (Desautels, Krause & Burdick, JMLR 2014), a hallucination appends one row to
-the model's Cholesky factor, and each query set costs one cross-kernel and one
-triangular solve for both the mean and the variance (`gp._BatchPosterior`).
-The inner maximizer is random candidate search followed by coordinate-wise
-golden-section refinement.
+the model's Cholesky factor (`gp._BatchPosterior`). A batch draws one set U of
+random candidates; each category assignment among its picks pays one
+cross-kernel and one triangular solve over U, V = L^-1 K(rows, U), and each
+hallucination then appends one row to every such V. The last pick is not
+hallucinated, because nothing reads it. Each pick's best candidate is refined
+by coordinate-wise golden-section search, one single-point query per step.
 """
 from __future__ import annotations
 
@@ -82,24 +84,20 @@ def select_batch_continuous(
     d = len(params)
     sqrt_beta = math.sqrt(beta(t, cfg))
     query_t = t + 1  # picks will be evaluated one round ahead
-    posterior = _BatchPosterior(model)  # frozen mean, accumulates hallucinations
+    U = rng.uniform(size=(cfg.n_candidates, d))  # one candidate set for the whole batch
+    posterior = _BatchPosterior(model, U, query_t)  # frozen mean, accumulates hallucinations
     picks = []
     for b in range(batch):
-        hq = None
-        if fixed_h is not None:
-            hq = np.asarray(fixed_h[b], dtype=int)
-        U = rng.uniform(size=(cfg.n_candidates, d))
-        Hq = np.tile(hq, (cfg.n_candidates, 1)) if hq is not None else None
-        mu, var = posterior.query(U, Hq, query_t)
+        hq = None if fixed_h is None else np.asarray(fixed_h[b], dtype=int)
+        mu, var = posterior.candidates(hq)
         scores = mu + sqrt_beta * np.sqrt(var)
         best = int(np.argmax(scores))
         u = U[best].copy()
         best_score = scores[best]
 
         def acq(uvec):
-            hrow = hq.reshape(1, -1) if hq is not None else None
-            m, v = posterior.query(uvec.reshape(1, -1), hrow, query_t)
-            return float(m[0] + sqrt_beta * math.sqrt(v[0]))
+            m, v = posterior.point(uvec, hq)
+            return float(m + sqrt_beta * math.sqrt(v))
 
         for j in range(d):
             lo = max(0.0, u[j] - _REFINE_HALF_WIDTH)
@@ -109,7 +107,8 @@ def select_batch_continuous(
                 u, best_score = cand_u, cand_score
 
         u = np.clip(u, 0.0, 1.0)
-        posterior.append(u, hq, query_t)
+        if b + 1 < batch:  # the last pick's hallucination would be read by nothing
+            posterior.append(u, hq, query_t)
         x = _from_unit(u, params)
         for p, v in zip(params, x):
             if not p.lower - 1e-12 <= v <= p.upper + 1e-12:

@@ -112,7 +112,9 @@ def _parse_run_config(cfg: dict):
     T_rounds = _require_int(cfg, "T_rounds")
     if T_rounds < 1:
         raise ConfigError(f"T_rounds must be >= 1, got {T_rounds}")
-    quantile = float(cfg.get("quantile", 0.25))
+    quantile = cfg.get("quantile", 0.25)
+    if type(quantile) not in (int, float) or not math.isfinite(quantile):  # not bool or a string
+        raise ConfigError(f"quantile must be a finite number, got {quantile!r}")
     try:
         check_truncation(B, quantile)
     except ValueError as exc:
@@ -124,7 +126,10 @@ def _parse_run_config(cfg: dict):
         raise ConfigError(f"unknown objective_args {unknown} for {objective_name!r}, which "
                           f"takes {sorted(OBJECTIVE_ARGS[objective_name])}")
     objective = OBJECTIVES[objective_name](T=T_rounds, **objective_args)
-    return space, objective, seeds, B, T_rounds, quantile, acq
+    out_dir = cfg.get("output", ".")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"output must be a directory path string, got {out_dir!r}")
+    return space, objective, seeds, B, T_rounds, quantile, acq, out_dir
 
 
 def _check_strategy(name: str, space: SearchSpace) -> None:
@@ -194,11 +199,10 @@ def cmd_run(config_path: str, overrides: dict | None = None) -> int:
             cfg = json.load(fh)
         if overrides:
             cfg.update({k: v for k, v in overrides.items() if v is not None})
-        space, objective, seeds, B, T_rounds, quantile, acq = _parse_run_config(cfg)
+        space, objective, seeds, B, T_rounds, quantile, acq, out_dir = _parse_run_config(cfg)
         strategy_name = _require(cfg, "strategy")
         _check_strategy(strategy_name, space)
         _check_objective(objective, space)
-        out_dir = cfg.get("output", ".")
     except (ConfigError, ValueError, TypeError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -230,14 +234,13 @@ def cmd_compare(config_path: str, overrides: dict | None = None) -> int:
             cfg = json.load(fh)
         if overrides:
             cfg.update({k: v for k, v in overrides.items() if v is not None})
-        space, objective, seeds, B, T_rounds, quantile, acq = _parse_run_config(cfg)
+        space, objective, seeds, B, T_rounds, quantile, acq, out_dir = _parse_run_config(cfg)
         strategies = _require(cfg, "strategies")
         if not strategies:
             raise ConfigError("strategies must be a nonempty list")
         for name in strategies:
             _check_strategy(name, space)
         _check_objective(objective, space)
-        out_dir = cfg.get("output", ".")
     except (ConfigError, ValueError, TypeError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

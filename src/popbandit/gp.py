@@ -25,8 +25,10 @@ over many candidates keep their threads.
 
 Batch acquisition queries a `_BatchPosterior` (GP-BUCB): each hallucinated
 input appends one row to the model's Cholesky factor, an O(n^2) solve, rather
-than rebuilding and re-factoring the model, and one cross-kernel per query set
-serves both the frozen mean and the hallucinated variance.
+than rebuilding and re-factoring the model. The batch's one candidate set U is
+solved once per category assignment, V = L^-1 K(rows, U), and each
+hallucination appends one row to every V, an O(nN) step, so U costs one
+cross-kernel and one triangular solve per batch, not per pick.
 
 Continuous inputs are expected pre-scaled to the unit hypercube. Models with no
 categorical columns use only the continuous-time factor (sigma2, eps2, lambda
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 from . import _blas
 
@@ -173,6 +175,15 @@ def _kernel_matrix(theta: np.ndarray, d2, match, dt):
     return _combine(theta[5], *_kernel_parts(theta, d2, match, dt))
 
 
+def _kernel_column(theta: np.ndarray, X, H, t, x, h, tq: float) -> np.ndarray:
+    """k between the rows (X, H, t) and one point (x, h, tq), with the bits of the
+    n x 1 column `_pairwise` would give, but without its n x 1 x d temporary.
+    t may be one round shared by all rows."""
+    d2 = np.sum((X - x) ** 2, axis=1)
+    match = np.mean(H == h, axis=1) if H.shape[1] else None
+    return _kernel_matrix(theta, d2, match, np.abs(t - tq))
+
+
 def _prior_variance(theta: np.ndarray, mixed: bool) -> float:
     _, _, _, sigma1, sigma2, lam, _ = theta
     if not mixed:
@@ -198,6 +209,20 @@ def _chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
             return L, jitter
         jitter *= 10.0
     raise np.linalg.LinAlgError("Cholesky failed even with maximum jitter")
+
+
+def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^-1 b by LAPACK dtrtrs, oriented as scipy's solve_triangular orients it
+    (a C-ordered L is solved as its transpose), so the result has its bits."""
+    if not len(b):
+        return np.zeros_like(b)  # dtrtrs refuses 0 rows
+    if L.flags.f_contiguous:
+        x, info = lapack.dtrtrs(L, b, lower=1)
+    else:
+        x, info = lapack.dtrtrs(L.T, b, lower=0, trans=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
+    return x
 
 
 class GPModel:
@@ -281,7 +306,7 @@ class GPModel:
         kq = _kernel_matrix(theta, d2, match, dt)  # (n, nq)
         self._ensure_factorization()
         mu = kq.T @ self._alpha
-        v = solve_triangular(self._chol, kq, lower=True, check_finite=False)
+        v = _solve_lower(self._chol, kq)
         var = prior - np.sum(v * v, axis=0)
         return mu, np.maximum(var, 0.0)
 
@@ -310,6 +335,16 @@ class GPModel:
         return model
 
 
+class _CandidateSet(NamedTuple):
+    """One category assignment's view of the batch's candidates U: codes Hq,
+    frozen mean mu, V = L^-1 K(rows, U) and the column sums of V*V."""
+
+    Hq: np.ndarray
+    mu: np.ndarray
+    V: np.ndarray
+    ss: np.ndarray
+
+
 class _BatchPosterior:
     """Frozen mean and hallucinated variance of one batch (GP-BUCB).
 
@@ -318,57 +353,105 @@ class _BatchPosterior:
     d = sqrt(k** + noise - |c|^2), one O(n^2) solve (Desautels, Krause &
     Burdick, JMLR 2014). A query builds one cross-kernel against the data and
     the hallucinations and makes one triangular solve: the mean is k^T alpha
-    over the data rows, the variance prior - |L^-1 k|^2. When the model's
-    factor needed jitter, or a new pivot d^2 is not positive, the rest of the
-    batch re-factors a `with_observation` chain instead, as a full model would.
+    over the data rows, the variance prior - |L^-1 k|^2.
+
+    The batch's candidate set U, queried at round tq, is solved once per
+    category assignment, when `candidates` first asks for it: the mean and
+    V = L^-1 K(rows, U) are kept. An append then extends each kept V by one
+    row, v = (k(x, U) - c^T V) / d, an O(nN) step where a new query of the N
+    candidates would cost O(n^2 N).
+
+    When the model's factor needed jitter, or a new pivot d^2 is not positive,
+    the kept sets are dropped and the rest of the batch re-factors a
+    `with_observation` chain instead, as a full model would.
     """
 
-    def __init__(self, model: GPModel):
+    def __init__(self, model: GPModel, U: np.ndarray | None = None, tq: float = 0.0):
+        """U holds the batch's candidates, which `candidates` and `point` query at round tq."""
         self.model = model
         self._theta = model.theta.as_array()
         self._prior = _prior_variance(self._theta, model.mixed)
         self._X, self._H, self._t = model.X, model.H, model.t
         self._L = model.chol
         self._fallback = model if model.jitter > 0.0 else None
+        self._U, self._tq = U, float(tq)
+        self._sets: dict = {}  # category codes -> _CandidateSet
+
+    def _codes(self, h) -> np.ndarray:
+        """h as one row of the model's category codes (empty when it has none)."""
+        m = self._H.shape[1]  # a continuous-only model ignores h, as with_observation does
+        return np.asarray(h, dtype=int).reshape(m) if m else np.zeros(0, dtype=int)
 
     def append(self, x, h, t) -> None:
         """Hallucinate an observation at (x, h, t)."""
         if self._fallback is not None:
             self._fallback = self._fallback.with_observation(x, h, t, 0.0)
             return
-        m = self._H.shape[1]  # a continuous-only model ignores h, as with_observation does
-        hrow = np.asarray(h, dtype=int).reshape(1, m) if m else np.zeros((1, 0), dtype=int)
-        self._X = np.vstack([self._X, np.reshape(x, (1, -1))])
+        hrow = self._codes(h)
+        x = np.reshape(x, -1)
+        self._X = np.vstack([self._X, x])
         self._H = np.vstack([self._H, hrow])
         self._t = np.append(self._t, float(t))
-        k = _kernel_matrix(self._theta, *_pairwise(self._X, self._H, self._t,
-                                                   self._X[-1:], self._H[-1:], self._t[-1:]))[:, 0]
-        c = solve_triangular(self._L, k[:-1], lower=True, check_finite=False)
+        k = _kernel_column(self._theta, self._X, self._H, self._t, x, hrow, float(t))
+        c = _solve_lower(self._L, k[:-1])
         pivot = k[-1] + self._theta[6] - c @ c
         if not pivot > 0.0:
             y = np.append(self.model.y, np.zeros(len(self._t) - self.model.n))
             self._fallback = GPModel(self._X, self._H, self._t, y, self.model.theta,
                                      self.model.bounds)
+            self._sets.clear()
             return
+        d = math.sqrt(pivot)
         L = np.zeros((len(k), len(k)))
         L[:-1, :-1] = self._L
         L[-1, :-1] = c
-        L[-1, -1] = math.sqrt(pivot)
+        L[-1, -1] = d
         self._L = L
+        for key, cs in self._sets.items():
+            kx = _kernel_column(self._theta, self._U, cs.Hq, self._tq, x, hrow, float(t))
+            v = (kx - c @ cs.V) / d
+            self._sets[key] = cs._replace(V=np.vstack([cs.V, v]), ss=cs.ss + v * v)
+
+    def candidates(self, h):
+        """(frozen mean, hallucinated variance) at the candidates U with category codes h."""
+        hrow = self._codes(h)
+        Hq = np.tile(hrow, (len(self._U), 1))
+        if self._fallback is not None:
+            return self.query(self._U, Hq, self._tq)
+        key = hrow.tobytes()
+        cs = self._sets.get(key)
+        if cs is None:
+            mu, k = self._cross(self._U, Hq, self._tq)
+            V = _solve_lower(self._L, k)
+            cs = self._sets[key] = _CandidateSet(Hq, mu, V, np.sum(V * V, axis=0))
+        return cs.mu, np.maximum(self._prior - cs.ss, 0.0)
+
+    def point(self, x, h) -> tuple[float, float]:
+        """(frozen mean, hallucinated variance) at one point x with codes h, at round tq;
+        the bits of `query`."""
+        if self._fallback is not None:
+            hq = None if h is None else np.reshape(h, (1, -1))
+            mu, var = self.query(np.reshape(x, (1, -1)), hq, self._tq)
+            return mu[0], var[0]
+        k = _kernel_column(self._theta, self._X, self._H, self._t, x, self._codes(h), self._tq)
+        v = _solve_lower(self._L, k)
+        return k[:self.model.n] @ self.model.alpha_vec, max(self._prior - np.sum(v * v), 0.0)
+
+    def _cross(self, Xq, Hq, tq: float):
+        """(frozen mean at Xq, cross-kernel of Xq against the data and, unless the
+        batch has fallen back, the hallucinations)."""
+        rows = slice(None) if self._fallback is None else slice(self.model.n)
+        k = _kernel_matrix(self._theta, *_pairwise(self._X[rows], self._H[rows], self._t[rows],
+                                                   Xq, Hq, np.full(len(Xq), float(tq))))
+        return k[:self.model.n].T @ self.model.alpha_vec, k
 
     def query(self, Xq, Hq, tq: float):
         """(frozen mean, hallucinated variance) at the rows of Xq, all at round tq."""
-        nq = len(Xq)
-        Hq = np.zeros((nq, 0), dtype=int) if Hq is None else Hq
-        n = self.model.n
-        rows = slice(None) if self._fallback is None else slice(n)
-        d2, match, dt = _pairwise(self._X[rows], self._H[rows], self._t[rows],
-                                  Xq, Hq, np.full(nq, float(tq)))
-        k = _kernel_matrix(self._theta, d2, match, dt)
-        mu = k[:n].T @ self.model.alpha_vec
+        Hq = np.zeros((len(Xq), 0), dtype=int) if Hq is None else Hq
+        mu, k = self._cross(Xq, Hq, tq)
         if self._fallback is not None:
             return mu, self._fallback.posterior(Xq, Hq, tq)[1]
-        v = solve_triangular(self._L, k, lower=True, check_finite=False)
+        v = _solve_lower(self._L, k)
         return mu, np.maximum(self._prior - np.sum(v * v, axis=0), 0.0)
 
 

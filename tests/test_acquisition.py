@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from popbandit import acquisition, gp
 from popbandit.acquisition import AcquisitionConfig, beta, select_batch_continuous
@@ -163,14 +164,15 @@ class TestSelectBatch:
 
 
 def select_by_refactoring(model, params, batch, t, cfg, rng, fixed_h=None):
-    """The batch loop of select_batch_continuous on full models: two posteriors
-    per query, one frozen and one re-factored after each hallucination."""
+    """The batch loop of select_batch_continuous on full models: one candidate set
+    per batch and, per pick, a full query of it through two posteriors, one frozen
+    and one re-factored after each hallucination."""
     sqrt_beta = math.sqrt(beta(t, cfg))
     var_model = model
     picks = []
+    U = rng.uniform(size=(cfg.n_candidates, len(params)))
     for b in range(batch):
         hq = None if fixed_h is None else np.asarray(fixed_h[b], dtype=int)
-        U = rng.uniform(size=(cfg.n_candidates, len(params)))
         Hq = None if hq is None else np.tile(hq, (cfg.n_candidates, 1))
         mu, _ = model.posterior(U, Hq, t + 1)
         _, var = var_model.posterior(U, Hq, t + 1)
@@ -275,3 +277,116 @@ class TestAppendedRowFactor:
             assert mu.tobytes() == model.posterior(Xq, None, 1.0)[0].tobytes()
             assert var.tobytes() == chain.posterior(Xq, None, 1.0)[1].tobytes()
         assert chain.jitter > 0.0
+
+
+class TestOneCandidateSetPerBatch:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_mixed_batch_with_repeated_categories_matches_refactoring(self, d):
+        for noise in (1e-2, 1e-4, 1e-6):
+            seed = 500 + 10 * d + int(-math.log10(noise))
+            model, params = random_batch_case(seed, d, True, noise)
+            fixed_h = [np.array([c]) for c in (0, 1, 0, 1, 2)]
+            assert_same_picks(model, params, 5, fixed_h, seed=seed)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_one_uniform_draw_per_batch(self, batch, mixed):
+        model, params = random_batch_case(3, 2, mixed, 1e-3)
+        cfg = AcquisitionConfig(n_candidates=64, n_refine_steps=2)
+        rng = np.random.default_rng(11)
+        fixed_h = [np.array([c % 3]) for c in range(batch)] if mixed else None
+        select_batch_continuous(model, params, batch, 20, cfg, rng, fixed_h)
+        expected = np.random.default_rng(11)
+        expected.uniform(size=(cfg.n_candidates, len(params)))
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_appends_all_but_the_last_pick(self, monkeypatch, batch, mixed):
+        model, params = random_batch_case(4, 1, mixed, 1e-3)
+        calls = {"append": 0, "with_observation": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gp._BatchPosterior, "append",
+                            counted("append", gp._BatchPosterior.append))
+        monkeypatch.setattr(GPModel, "with_observation",
+                            counted("with_observation", GPModel.with_observation))
+        fixed_h = [np.array([c % 3]) for c in range(batch)] if mixed else None
+        select_batch_continuous(model, params, batch, 20, AcquisitionConfig(n_candidates=50),
+                                np.random.default_rng(0), fixed_h)
+        assert calls == {"append": batch - 1, "with_observation": 0}
+
+    @pytest.mark.parametrize("batch", [2, 3, 5])
+    def test_zero_pivot_fallback_matches_refactoring(self, monkeypatch, batch):
+        # With one candidate, a high mean there and little exploration, every pick
+        # is U[0], where the one data point sits without noise: the first
+        # hallucination's pivot is exactly 1 + 0 - 1^2 = 0, so the rest of the batch
+        # runs on re-factored models.
+        seed, cfg = 12, AcquisitionConfig(c1=1e-4, c2=0.0, n_candidates=1, n_refine_steps=0)
+        x0 = np.random.default_rng(seed).uniform(size=(1, 1))
+        model = GPModel(x0, np.zeros((1, 0), dtype=int), np.array([21.0]), np.array([5.0]),
+                        GPHyperparams(eps1=0.0, sigma1=1.0, noise=0.0))
+        assert model.jitter == 0.0
+        params = (ContinuousParam("x", 0.0, 1.0),)
+        expected = select_by_refactoring(model, params, batch, 20, cfg,
+                                         np.random.default_rng(seed))
+        calls = {"with_observation": 0}
+        original = GPModel.with_observation
+
+        def counted(self, *args):
+            calls["with_observation"] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(GPModel, "with_observation", counted)
+        got = select_batch_continuous(model, params, batch, 20, cfg,
+                                      np.random.default_rng(seed))
+        assert calls["with_observation"] == batch - 2  # every append after the first
+        for x, y in zip(got, expected):
+            assert np.max(np.abs(x - y)) <= 1e-10
+
+
+def reference_query(posterior, Xq, Hq, tq):
+    """The batch posterior's query as one cross-kernel over all its rows and one
+    scipy triangular solve."""
+    theta = posterior.model.theta.as_array()
+    k = gp._kernel_matrix(theta, *gp._pairwise(posterior._X, posterior._H, posterior._t,
+                                               Xq, Hq, np.full(len(Xq), float(tq))))
+    mu = k[:posterior.model.n].T @ posterior.model.alpha_vec
+    v = solve_triangular(posterior._L, k, lower=True, check_finite=False)
+    prior = gp._prior_variance(theta, posterior.model.mixed)
+    return mu, np.maximum(prior - np.sum(v * v, axis=0), 0.0)
+
+
+class TestBatchPosteriorBits:
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_point_and_first_candidates_match_reference_bits(self, d, m):
+        for seed in range(6):
+            rng = np.random.default_rng(1000 * d + 10 * m + seed)
+            n = int(rng.integers(2, 150))
+            X, H = rng.uniform(size=(n, d)), rng.integers(0, 3, size=(n, m))
+            t = np.sort(rng.integers(1, 20, size=n)).astype(float)
+            theta = GPHyperparams(eps1=rng.uniform(0.0, 0.3), eps2=rng.uniform(0.0, 0.3),
+                                  lengthscale=rng.uniform(0.05, 2.0), lam=rng.uniform(),
+                                  noise=1e-3)
+            model = GPModel(X, H, t, np.sin(3 * X[:, 0]) + 0.1 * rng.normal(size=n), theta)
+            U = rng.uniform(size=(40, d))
+            posterior = gp._BatchPosterior(model, U, 21.0)
+            for appended in range(4):
+                h = rng.integers(0, 3, size=m)
+                Hq = np.tile(h, (len(U), 1))
+                if appended == 0:  # the first query of a category is the full one
+                    want = reference_query(posterior, U, Hq, 21.0)
+                    for got, expected in zip(posterior.candidates(h), want):
+                        assert got.tobytes() == expected.tobytes()
+                for x in rng.uniform(size=(10, d)):
+                    want = reference_query(posterior, x.reshape(1, -1), h.reshape(1, -1), 21.0)
+                    got = posterior.point(x, h)
+                    assert np.float64(got[0]).tobytes() == want[0].tobytes()
+                    assert np.float64(got[1]).tobytes() == want[1].tobytes()
+                posterior.append(rng.uniform(size=d), h, 21.0)

@@ -242,6 +242,15 @@ class TestConfigRejectedAtParseTime:
         self.assert_config_error(tmp_path, capsys, f"{next(iter(acquisition))} must be",
                                  acquisition=acquisition)
 
+    @pytest.mark.parametrize("quantile", ["0.25", True, None, math.nan, math.inf, [0.25]])
+    def test_non_numeric_quantile(self, tmp_path, capsys, quantile):
+        self.assert_config_error(tmp_path, capsys, "quantile must be a finite number",
+                                 quantile=quantile)
+
+    @pytest.mark.parametrize("output", [5, None, ["out"], True])
+    def test_output_not_a_path(self, tmp_path, capsys, output):
+        self.assert_config_error(tmp_path, capsys, "config error: output must be", output=output)
+
 
 class TestCompareCommand:
     def test_wide_csv_and_ordering_output(self, tmp_path, capsys):
