@@ -6,8 +6,9 @@ variance there (the variance does not depend on targets). Following GP-BUCB
 (Desautels, Krause & Burdick, JMLR 2014), a hallucination appends one row to
 the model's Cholesky factor (`gp._BatchPosterior`). A batch draws one set U of
 random candidates; each category assignment among its picks pays one
-cross-kernel and one triangular solve over U, V = L^-1 K(rows, U), and each
-hallucination then appends one row to every such V. The last pick is not
+cross-kernel and one triangular solve over U, V = L^-1 K(rows, U), and a pick
+that reads an assignment again extends its V by one row per hallucination
+since, not by a new solve over U. The last pick is not
 hallucinated, because nothing reads it. Each pick's best candidate is refined
 by coordinate-wise golden-section search, one single-point query per step.
 """

@@ -26,9 +26,10 @@ over many candidates keep their threads.
 Batch acquisition queries a `_BatchPosterior` (GP-BUCB): each hallucinated
 input appends one row to the model's Cholesky factor, an O(n^2) solve, rather
 than rebuilding and re-factoring the model. The batch's one candidate set U is
-solved once per category assignment, V = L^-1 K(rows, U), and each
-hallucination appends one row to every V, an O(nN) step, so U costs one
-cross-kernel and one triangular solve per batch, not per pick.
+solved once per category assignment, V = L^-1 K(rows, U); when a pick reads an
+assignment again, its V gains one row per hallucination since, an O(nN) step,
+so U costs one cross-kernel and one triangular solve per batch and
+assignment, not per pick.
 
 Continuous inputs are expected pre-scaled to the unit hypercube. Models with no
 categorical columns use only the continuous-time factor (sigma2, eps2, lambda
@@ -336,10 +337,11 @@ class GPModel:
 
 
 class _CandidateSet(NamedTuple):
-    """One category assignment's view of the batch's candidates U: codes Hq,
-    frozen mean mu, V = L^-1 K(rows, U) and the column sums of V*V."""
+    """One category assignment's view of the batch's candidates U: its codes as
+    one row h, frozen mean mu, V = L^-1 K(rows, U) over the first len(V) rows of
+    the factor, and the column sums of V*V."""
 
-    Hq: np.ndarray
+    h: np.ndarray
     mu: np.ndarray
     V: np.ndarray
     ss: np.ndarray
@@ -351,22 +353,23 @@ class _BatchPosterior:
     The variance does not depend on targets, so a hallucinated input only
     appends one row to the model's Cholesky factor: c = L^-1 k and
     d = sqrt(k** + noise - |c|^2), one O(n^2) solve (Desautels, Krause &
-    Burdick, JMLR 2014). A query builds one cross-kernel against the data and
-    the hallucinations and makes one triangular solve: the mean is k^T alpha
-    over the data rows, the variance prior - |L^-1 k|^2.
+    Burdick, JMLR 2014).
 
     The batch's candidate set U, queried at round tq, is solved once per
-    category assignment, when `candidates` first asks for it: the mean and
-    V = L^-1 K(rows, U) are kept. An append then extends each kept V by one
-    row, v = (k(x, U) - c^T V) / d, an O(nN) step where a new query of the N
-    candidates would cost O(n^2 N).
+    category assignment, when `candidates` first asks for it: one cross-kernel
+    against the data and the hallucinations gives the mean, k^T alpha over the
+    data rows, and V = L^-1 K(rows, U). When `candidates` asks for that
+    assignment again, V gains one row per hallucination appended since,
+    v = (k(x, U) - c^T V) / d with that hallucination's row of L, an O(nN) step
+    where a new query of the N candidates would cost O(n^2 N). An assignment
+    that no later pick asks for is never extended.
 
     When the model's factor needed jitter, or a new pivot d^2 is not positive,
     the kept sets are dropped and the rest of the batch re-factors a
     `with_observation` chain instead, as a full model would.
     """
 
-    def __init__(self, model: GPModel, U: np.ndarray | None = None, tq: float = 0.0):
+    def __init__(self, model: GPModel, U: np.ndarray, tq: float):
         """U holds the batch's candidates, which `candidates` and `point` query at round tq."""
         self.model = model
         self._theta = model.theta.as_array()
@@ -401,58 +404,54 @@ class _BatchPosterior:
                                      self.model.bounds)
             self._sets.clear()
             return
-        d = math.sqrt(pivot)
         L = np.zeros((len(k), len(k)))
         L[:-1, :-1] = self._L
         L[-1, :-1] = c
-        L[-1, -1] = d
+        L[-1, -1] = math.sqrt(pivot)
         self._L = L
-        for key, cs in self._sets.items():
-            kx = _kernel_column(self._theta, self._U, cs.Hq, self._tq, x, hrow, float(t))
-            v = (kx - c @ cs.V) / d
-            self._sets[key] = cs._replace(V=np.vstack([cs.V, v]), ss=cs.ss + v * v)
 
     def candidates(self, h):
         """(frozen mean, hallucinated variance) at the candidates U with category codes h."""
         hrow = self._codes(h)
-        Hq = np.tile(hrow, (len(self._U), 1))
         if self._fallback is not None:
-            return self.query(self._U, Hq, self._tq)
+            return self._fallback_query(self._U, np.tile(hrow, (len(self._U), 1)))
         key = hrow.tobytes()
         cs = self._sets.get(key)
         if cs is None:
-            mu, k = self._cross(self._U, Hq, self._tq)
+            mu, k = self._cross(self._U, np.tile(hrow, (len(self._U), 1)))
             V = _solve_lower(self._L, k)
-            cs = self._sets[key] = _CandidateSet(Hq, mu, V, np.sum(V * V, axis=0))
+            cs = _CandidateSet(hrow[None, :], mu, V, np.sum(V * V, axis=0))
+        for r in range(len(cs.V), len(self._L)):  # hallucinations V has not seen
+            # One row of codes h: the category match with the hallucination is one number.
+            kx = _kernel_column(self._theta, self._U, cs.h, self._tq,
+                                self._X[r], self._H[r], self._t[r])
+            v = (kx - self._L[r, :r] @ cs.V) / self._L[r, r]
+            cs = cs._replace(V=np.vstack([cs.V, v]), ss=cs.ss + v * v)
+        self._sets[key] = cs
         return cs.mu, np.maximum(self._prior - cs.ss, 0.0)
 
     def point(self, x, h) -> tuple[float, float]:
-        """(frozen mean, hallucinated variance) at one point x with codes h, at round tq;
-        the bits of `query`."""
+        """(frozen mean, hallucinated variance) at one point x with codes h, at round tq."""
+        hrow = self._codes(h)
         if self._fallback is not None:
-            hq = None if h is None else np.reshape(h, (1, -1))
-            mu, var = self.query(np.reshape(x, (1, -1)), hq, self._tq)
+            mu, var = self._fallback_query(np.reshape(x, (1, -1)), hrow[None, :])
             return mu[0], var[0]
-        k = _kernel_column(self._theta, self._X, self._H, self._t, x, self._codes(h), self._tq)
+        k = _kernel_column(self._theta, self._X, self._H, self._t, x, hrow, self._tq)
         v = _solve_lower(self._L, k)
         return k[:self.model.n] @ self.model.alpha_vec, max(self._prior - np.sum(v * v), 0.0)
 
-    def _cross(self, Xq, Hq, tq: float):
-        """(frozen mean at Xq, cross-kernel of Xq against the data and, unless the
-        batch has fallen back, the hallucinations)."""
+    def _cross(self, Xq, Hq):
+        """(frozen mean at Xq, cross-kernel of Xq at round tq against the data and,
+        unless the batch has fallen back, the hallucinations)."""
         rows = slice(None) if self._fallback is None else slice(self.model.n)
         k = _kernel_matrix(self._theta, *_pairwise(self._X[rows], self._H[rows], self._t[rows],
-                                                   Xq, Hq, np.full(len(Xq), float(tq))))
+                                                   Xq, Hq, np.full(len(Xq), self._tq)))
         return k[:self.model.n].T @ self.model.alpha_vec, k
 
-    def query(self, Xq, Hq, tq: float):
-        """(frozen mean, hallucinated variance) at the rows of Xq, all at round tq."""
-        Hq = np.zeros((len(Xq), 0), dtype=int) if Hq is None else Hq
-        mu, k = self._cross(Xq, Hq, tq)
-        if self._fallback is not None:
-            return mu, self._fallback.posterior(Xq, Hq, tq)[1]
-        v = _solve_lower(self._L, k)
-        return mu, np.maximum(self._prior - np.sum(v * v, axis=0), 0.0)
+    def _fallback_query(self, Xq, Hq):
+        """(frozen mean, variance of the re-factored chain) at the rows of Xq, at round tq."""
+        mu, _ = self._cross(Xq, Hq)
+        return mu, self._fallback.posterior(Xq, Hq, self._tq)[1]
 
 
 # ---------------------------------------------------------------------------

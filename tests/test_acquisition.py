@@ -267,13 +267,13 @@ class TestAppendedRowFactor:
         model = GPModel(np.array([[0.5]]), np.zeros((1, 0), dtype=int), np.array([1.0]),
                         np.array([0.3]), theta)
         assert model.jitter == 0.0
-        posterior = gp._BatchPosterior(model)
-        chain = model
         Xq = np.linspace(0.0, 1.0, 11).reshape(-1, 1)
+        posterior = gp._BatchPosterior(model, Xq, 1.0)
+        chain = model
         for x in (0.5, 0.9):
             posterior.append(np.array([x]), None, 1.0)
             chain = chain.with_observation(np.array([x]), None, 1.0, 0.0)
-            mu, var = posterior.query(Xq, None, 1.0)
+            mu, var = posterior.candidates(None)
             assert mu.tobytes() == model.posterior(Xq, None, 1.0)[0].tobytes()
             assert var.tobytes() == chain.posterior(Xq, None, 1.0)[1].tobytes()
         assert chain.jitter > 0.0
