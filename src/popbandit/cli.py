@@ -77,10 +77,22 @@ def _atomic_write_csv(path: str, header: list[str], rows) -> None:
         raise
 
 
-def _max_workers(n_seeds: int) -> int:
+def _threads_cap() -> int:
+    """POPBANDIT_THREADS as a positive integer; the CPU count when it is unset or empty."""
     env = os.environ.get("POPBANDIT_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(cap, n_seeds))
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"POPBANDIT_THREADS must be a positive integer, got {env!r}")
+    return cap
+
+
+def _max_workers(n_seeds: int) -> int:
+    return max(1, min(_threads_cap(), n_seeds))
 
 
 def _require(cfg: dict, field: str):
@@ -129,6 +141,7 @@ def _parse_run_config(cfg: dict):
     out_dir = cfg.get("output", ".")
     if not isinstance(out_dir, str):
         raise ConfigError(f"output must be a directory path string, got {out_dir!r}")
+    _threads_cap()  # checked here: `_max_workers` reads it only once the seeds run
     return space, objective, seeds, B, T_rounds, quantile, acq, out_dir
 
 
@@ -329,6 +342,9 @@ def gradient_check(seed: int = 0, n_instances: int = 100, step: float = 1e-6):
 
 
 def cmd_gradcheck(seed: int = 0, n_instances: int = 100) -> int:
+    if n_instances < 1:  # a check of no instance would pass whatever the gradient
+        print(f"flag error: --instances must be >= 1, got {n_instances}", file=sys.stderr)
+        return EXIT_CONFIG
     errors, worst = gradient_check(seed=seed, n_instances=n_instances)
     ok = True
     for name in gp.PARAM_NAMES:

@@ -3,8 +3,11 @@
 The kernel is a lambda-weighted sum/product combination of a squared-exponential
 factor on continuous values and an overlap factor on categorical labels, each
 multiplied by a time-decay factor (1 - eps)^(|t-t'|/2). Hyperparameters are fit
-by MAP (uniform prior over a bound box, so effectively bounded MLE) using
-projected gradient ascent with analytic gradients.
+by MAP (uniform prior over a bound box, so effectively bounded MLE) with
+L-BFGS in sigmoid coordinates, theta = lo + (hi - lo) sigma(z), on analytic
+gradients. An ascent stops at a stationary point: when the gradient's inf-norm
+in z falls below 1e-5, or when an iteration gains less than about 2e-9 of the
+LML (scipy's default factr), else after max_iter iterations.
 
 The likelihood and its gradient share one factorization (GPML section 5.4.1):
 `_factor` returns the LML together with a `_Factor` (the LAPACK `dpotrf`
@@ -12,12 +15,13 @@ Cholesky factor L and the kernel parts K was built from) and alpha = K^-1 y.
 `_grad` takes K^-1 from `dpotri` on L, forms W = alpha alpha^T - K^-1 once,
 and gets each gradient entry as one contraction of W against the kept parts
 and the pairwise d2 and dt (GPML eq. 5.9); no dK/dtheta matrix is built. The
-ascent keeps the accepted point's factor and alpha, so it factors K once per
-LML evaluation and never again for the gradient. `_chol_with_jitter` is the
-module's one Cholesky, for the fit and the posterior alike. The fit runs on
-one OpenBLAS thread (see `_blas`): its matrices are at most SLIDING_WINDOW
-wide and factored one after another, where a thread pool only adds hand-off
-cost. The posterior's Cholesky runs on one thread too, because OpenBLAS
+ascent's line search evaluates only the LML at a candidate and takes the
+gradient only at the point it accepts, from that point's factor and alpha, so
+it factors K once per LML evaluation and never again for the gradient.
+`_chol_with_jitter` is the module's one Cholesky, for the fit and the
+posterior alike. The fit runs on one OpenBLAS thread (see `_blas`): its
+matrices are at most SLIDING_WINDOW wide and factored one after another,
+where a thread pool only adds hand-off cost. The posterior's Cholesky runs on one thread too, because OpenBLAS
 rounds a factorization of 128 or more rows differently on different thread
 counts; so no result depends on the thread count. The posterior's products
 over many candidates keep their threads.
@@ -38,6 +42,7 @@ fixed by filtering.
 """
 from __future__ import annotations
 
+import collections
 import copy
 import logging
 import math
@@ -88,9 +93,6 @@ class HyperparamBounds:
         lower = np.array([0.0, 0.0, 1e-3, 1e-3, 1e-3, 0.0, 1e-6])
         upper = np.array([0.5, 0.5, 10.0 * diam, 10.0, 10.0, 1.0, 1.0])
         return cls(lower, upper)
-
-    def clip(self, theta: np.ndarray) -> np.ndarray:
-        return np.clip(theta, self.lower, self.upper)
 
     def log_prior(self) -> float:
         # Uniform over the box: constant density 1/volume.
@@ -540,57 +542,109 @@ def grad_log_marginal(model: GPModel) -> np.ndarray:
     return _grad(theta, model._d2, model._match, model._dt, factor, alpha)
 
 
-def _projected_grad_norm(theta, grad, bounds):
-    g = grad.copy()
-    at_lower = theta <= bounds.lower + 1e-12
-    at_upper = theta >= bounds.upper - 1e-12
-    g[at_lower & (g < 0)] = 0.0
-    g[at_upper & (g > 0)] = 0.0
-    return float(np.max(np.abs(g)))
+class _AscentReport(NamedTuple):
+    """What one ascent did: the LML it ended at, its iterations (one gradient
+    each), and whether it stopped at a stationary point rather than at max_iter
+    or on a failed line search."""
+
+    lml: float
+    iterations: int
+    converged: bool
 
 
-def _ascend(theta0, bounds, d2, match, dt, y, max_iter=100, tol=1e-5):
-    """Projected gradient ascent with backtracking line search.
+# L-BFGS settings: stop when the gradient's inf-norm in z falls below _GTOL or an
+# iteration gains less than _FTOL of the LML (scipy's default factr of 1e7, in
+# units of machine epsilon); keep _MEMORY correction pairs.
+_GTOL = 1e-5
+_FTOL = 1e7 * np.finfo(float).eps
+_MEMORY = 7
+_ARMIJO = 1e-4
+_MAX_BACKTRACKS = 30
+# A start on or near a bound is moved this fraction of its range inside the box,
+# so that its z is finite.
+_EDGE = 1e-6
 
-    Each accepted point keeps its factorization, so the gradient there costs
-    no further Cholesky: one factorization per LML evaluation. A candidate
-    that clipping makes equal to the one just rejected is not evaluated again.
+
+def _ascend(theta0, bounds, d2, match, dt, y, max_iter=100):
+    """MAP ascent by L-BFGS in sigmoid coordinates, theta = lo + (hi - lo) sigma(z).
+
+    The box becomes all of z-space, so every step is unconstrained. Each step
+    goes along the two-loop L-BFGS direction and backtracks by safeguarded
+    quadratic interpolation until the Armijo condition holds; only an accepted
+    point's gradient is computed, from the factor its LML evaluation kept, so
+    each LML evaluation is one Cholesky and the gradient adds none. A candidate
+    equal to the point it would replace, or to the one just rejected, is not
+    factored. Returns (theta, _AscentReport), or (None, report) when the start
+    cannot be factored.
     """
-    theta = bounds.clip(theta0.copy())
+    lo, span = bounds.lower, bounds.upper - bounds.lower
+
+    def coords(z):
+        # sigma(z) = (1 + tanh(z/2)) / 2, which cannot overflow; dtheta/dz too.
+        s = np.tanh(0.5 * z)
+        return lo + span * (0.5 * (1.0 + s)), span * (0.25 * (1.0 - s) * (1.0 + s))
+
+    u = np.clip((theta0 - lo) / span, _EDGE, 1.0 - _EDGE)
+    z = np.log(u) - np.log1p(-u)
+    theta, dtheta = coords(z)
     try:
         f, factor, alpha = _factor(theta, d2, match, dt, y)
     except np.linalg.LinAlgError:
-        return None, -math.inf
-    step = 1.0  # carried across iterations so the line search rarely backtracks
-    for _ in range(max_iter):
-        g = _grad(theta, d2, match, dt, factor, alpha)
-        if _projected_grad_norm(theta, g, bounds) < tol:
-            break
-        step = min(step * 2.0, 1e6)
-        improved = False
-        rejected = None
-        while step > 1e-12:
-            cand = bounds.clip(theta + step * g)
-            move = cand - theta
-            if np.max(np.abs(move)) < 1e-15:
-                break
-            if np.array_equal(cand, rejected):
-                # Clipping undid the halving; the same candidate fails the same way.
-                step *= 0.5
-                continue
-            try:
-                fc, factorc, alphac = _factor(cand, d2, match, dt, y)
-            except np.linalg.LinAlgError:
-                fc = -math.inf
-            if fc > f + 1e-4 * float(g @ move):
-                theta, f, factor, alpha = cand, fc, factorc, alphac
-                improved = True
+        return None, _AscentReport(-math.inf, 0, False)
+    g = _grad(theta, d2, match, dt, factor, alpha) * dtheta
+    pairs = collections.deque(maxlen=_MEMORY)  # (s, y, 1 / s.y) with y the drop in gradient
+    for it in range(max_iter):
+        if np.max(np.abs(g)) < _GTOL:
+            return theta, _AscentReport(f, it, True)
+        d = _two_loop(g, pairs)
+        slope = float(g @ d)
+        if not pairs:
+            d /= math.sqrt(slope)  # a first step of unit length, as L-BFGS-B takes
+            slope = float(g @ d)
+        step, rejected = 1.0, None
+        for _ in range(_MAX_BACKTRACKS):
+            cand, dcand = coords(z + step * d)
+            if np.array_equal(cand, theta):
+                return theta, _AscentReport(f, it, False)
+            if not np.array_equal(cand, rejected):
+                try:
+                    fc, factorc, alphac = _factor(cand, d2, match, dt, y)
+                except np.linalg.LinAlgError:
+                    fc = -math.inf
+            if fc >= f + _ARMIJO * step * slope:
                 break
             rejected = cand
-            step *= 0.5
-        if not improved:
-            break
-    return theta, f
+            # Maximum of the quadratic through f, the slope and fc, kept in [0.1, 0.5] step.
+            shortfall = f + slope * step - fc
+            step = min(max(0.5 * slope * step * step / shortfall, 0.1 * step), 0.5 * step)
+        else:
+            return theta, _AscentReport(f, it, False)
+        gc = _grad(cand, d2, match, dt, factorc, alphac) * dcand
+        s_vec, y_vec = step * d, g - gc
+        sy = float(s_vec @ y_vec)
+        if sy > 1e-10 * float(y_vec @ y_vec):  # keep only curvature that is positive
+            pairs.append((s_vec, y_vec, 1.0 / sy))
+        flat = fc - f <= _FTOL * max(abs(fc), abs(f), 1.0)
+        z, theta, f, g = z + s_vec, cand, fc, gc
+        if flat:
+            return theta, _AscentReport(f, it + 1, True)
+    return theta, _AscentReport(f, max_iter, False)
+
+
+def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
+    """The L-BFGS ascent direction H g from the kept (s, y, 1/s.y) pairs, with
+    H0 = (s.y / y.y) I from the newest pair (Nocedal & Wright, alg. 7.4)."""
+    q = g.copy()
+    a = []
+    for s, yv, rho in reversed(pairs):
+        a.append(rho * float(s @ q))
+        q -= a[-1] * yv
+    if pairs:
+        s, yv, rho = pairs[-1]
+        q *= 1.0 / (rho * float(yv @ yv))
+    for (s, yv, rho), ai in zip(pairs, reversed(a)):
+        q += (ai - rho * float(yv @ q)) * s
+    return q
 
 
 def fit(
@@ -600,7 +654,10 @@ def fit(
     seed: int = 0,
     max_iter: int = 100,
 ) -> GPHyperparams:
-    """MAP hyperparameter fit on a model's data: local ascent from init plus random restarts.
+    """MAP hyperparameter fit on a model's data: L-BFGS ascent from init plus random restarts.
+
+    Each ascent (`_ascend`) runs at most max_iter iterations and stops earlier
+    at a stationary point (see the module docstring).
 
     The model supplies the data, the bounds and the pairwise structure; its own
     theta is not read. The parameter is named data_or_model because
@@ -618,10 +675,10 @@ def fit(
     best_theta, best_f = None, -math.inf
     with _blas.single_thread():
         for start in starts:
-            theta, f = _ascend(start, bounds, model._d2, model._match, model._dt, model.y,
-                               max_iter=max_iter)
-            if theta is not None and f > best_f:
-                best_theta, best_f = theta, f
+            theta, report = _ascend(start, bounds, model._d2, model._match, model._dt,
+                                    model.y, max_iter=max_iter)
+            if theta is not None and report.lml > best_f:
+                best_theta, best_f = theta, report.lml
     if best_theta is None:
         logger.warning("all hyperparameter fits failed numerically; keeping init")
         return init

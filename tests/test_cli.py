@@ -251,6 +251,17 @@ class TestConfigRejectedAtParseTime:
     def test_output_not_a_path(self, tmp_path, capsys, output):
         self.assert_config_error(tmp_path, capsys, "config error: output must be", output=output)
 
+    @pytest.mark.parametrize("threads", ["abc", "1.5", "0", "-2"])
+    def test_bad_thread_cap(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("POPBANDIT_THREADS", threads)
+
+        def no_seed_runs(*_a, **_k):
+            raise AssertionError("a seed ran before the thread cap was checked")
+
+        monkeypatch.setattr(cli, "_run_seeds", no_seed_runs)
+        self.assert_config_error(tmp_path, capsys, "config error: POPBANDIT_THREADS must be "
+                                 "a positive integer")
+
 
 class TestCompareCommand:
     def test_wide_csv_and_ordering_output(self, tmp_path, capsys):
@@ -282,6 +293,13 @@ class TestGradcheck:
         monkeypatch.setattr(cli.gp, "grad_log_marginal", flipped)
         assert cli.cmd_gradcheck(seed=0, n_instances=3) == cli.EXIT_FAIL
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_no_instances_is_flag_error(self, capsys, instances):
+        assert cli.main(["gradcheck", "--instances", instances]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "flag error:" in captured.err
+        assert "pass" not in captured.out
 
 
 class TestImportCost:
