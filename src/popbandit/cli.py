@@ -46,14 +46,6 @@ EXIT_RUNTIME = 3
 
 GRADCHECK_TOLERANCE = 1e-4
 
-CONFIG_KEYS = frozenset({"space", "objective", "objective_args", "seeds", "B", "T_rounds",
-                         "quantile", "acquisition", "output", "strategy", "strategies"})
-
-
-class ConfigError(Exception):
-    pass
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.10g}"
@@ -87,7 +79,7 @@ def _threads_cap() -> int:
     except ValueError:
         cap = 0
     if cap < 1:
-        raise ConfigError(f"POPBANDIT_THREADS must be a positive integer, got {env!r}")
+        raise ValueError(f"POPBANDIT_THREADS must be a positive integer, got {env!r}")
     return cap
 
 
@@ -95,69 +87,89 @@ def _max_workers(n_seeds: int) -> int:
     return max(1, min(_threads_cap(), n_seeds))
 
 
-def _require(cfg: dict, field: str):
-    if field not in cfg:
-        raise ConfigError(f"config missing required field {field!r}")
-    return cfg[field]
+_REQUIRED = object()
+_STRATEGY_NAMES = [kind.value for kind in StrategyKind]
 
 
-def _require_int(cfg: dict, field: str) -> int:
-    value = _require(cfg, field)
-    if type(value) is not int:  # not bool, float or a numeric string
-        raise ConfigError(f"{field} must be an integer, got {value!r}")
-    return value
+def _distinct_list_of(valid):
+    """A test that a list is nonempty, holds only values that pass valid, and none twice."""
+    return lambda items: bool(items) and all(map(valid, items)) and len(set(items)) == len(items)
 
 
-def _parse_run_config(cfg: dict):
-    unknown = sorted(set(cfg) - CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys {unknown}")
-    space = SearchSpace.from_dict(_require(cfg, "space"))
-    objective_name = _require(cfg, "objective")
-    if objective_name not in OBJECTIVES:
-        raise ConfigError(f"unknown objective {objective_name!r}")
-    seeds = _require(cfg, "seeds")
-    if not (isinstance(seeds, list) and seeds
-            and all(type(s) is int and s >= 0 for s in seeds)):
-        raise ConfigError(f"seeds must be a nonempty list of non-negative integers, got {seeds!r}")
-    B = _require_int(cfg, "B")
-    T_rounds = _require_int(cfg, "T_rounds")
-    if T_rounds < 1:
-        raise ConfigError(f"T_rounds must be >= 1, got {T_rounds}")
-    quantile = cfg.get("quantile", 0.25)
-    if type(quantile) not in (int, float) or not math.isfinite(quantile):  # not bool or a string
-        raise ConfigError(f"quantile must be a finite number, got {quantile!r}")
+# One row per top-level config field: its exact JSON types (a bool is not an
+# int), what a value must be, its default (_REQUIRED if none) and the test
+# that a value of the right type must also pass (None if none).
+_FIELDS = {
+    "space": ((dict,), "an object", _REQUIRED, None),
+    "objective": ((str,), f"one of {sorted(OBJECTIVES)}", _REQUIRED, OBJECTIVES.__contains__),
+    "objective_args": ((dict,), "an object", {}, None),
+    "seeds": ((list,), "a nonempty list of distinct non-negative integers", _REQUIRED,
+              _distinct_list_of(lambda s: type(s) is int and s >= 0)),
+    "B": ((int,), "an integer", _REQUIRED, None),
+    "T_rounds": ((int,), "an integer", _REQUIRED, None),
+    "quantile": ((int, float), "a finite number", 0.25, math.isfinite),
+    "acquisition": ((dict,), "an object", {}, None),
+    "output": ((str,), "a directory path string", ".", lambda path: "\0" not in path),
+    "strategy": ((str,), f"one of {_STRATEGY_NAMES}", _REQUIRED, _STRATEGY_NAMES.__contains__),
+    "strategies": ((list,), f"a nonempty list of distinct names from {_STRATEGY_NAMES}",
+                   _REQUIRED, _distinct_list_of(_STRATEGY_NAMES.__contains__)),
+}
+
+
+def _load_config(path: str, overrides: dict | None, strategy_field: str):
+    """The checked config of `run` (strategy_field "strategy") or `compare` ("strategies").
+
+    Returns its fields as an argparse.Namespace, with `space`, `objective`
+    and `acquisition` built. On a fault, prints one `config error:` line and
+    returns None.
+    """
     try:
-        check_truncation(B, quantile)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    acq = AcquisitionConfig(**cfg.get("acquisition", {}))
-    objective_args = cfg.get("objective_args", {})
-    unknown = sorted(set(objective_args) - OBJECTIVE_ARGS[objective_name])
-    if unknown:
-        raise ConfigError(f"unknown objective_args {unknown} for {objective_name!r}, which "
-                          f"takes {sorted(OBJECTIVE_ARGS[objective_name])}")
-    objective = OBJECTIVES[objective_name](T=T_rounds, **objective_args)
-    out_dir = cfg.get("output", ".")
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"output must be a directory path string, got {out_dir!r}")
-    _threads_cap()  # checked here: `_max_workers` reads it only once the seeds run
-    return space, objective, seeds, B, T_rounds, quantile, acq, out_dir
-
-
-def _check_strategy(name: str, space: SearchSpace) -> None:
-    kind = StrategyKind.from_name(name)
-    if kind in BANDIT_STRATEGIES and space.n_arms < 2:
-        raise ConfigError(f"strategy {name!r} needs at least 2 categorical arms, "
-                          f"the space has {space.n_arms}")
-
-
-def _check_objective(objective, space: SearchSpace) -> None:
-    # Both objectives score a config by its first continuous value and first label.
-    if not (space.continuous and space.categorical):
-        raise ConfigError(f"objective {objective.name!r} needs at least one continuous and one "
-                          f"categorical parameter, the space has {len(space.continuous)} and "
-                          f"{len(space.categorical)}")
+        with open(path) as fh:
+            cfg = json.load(fh)
+        if type(cfg) is not dict:
+            raise ValueError(f"a config must be a JSON object, got {type(cfg).__name__}")
+        cfg.update({k: v for k, v in (overrides or {}).items() if v is not None})
+        unknown = sorted(set(cfg) - set(_FIELDS))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
+        for name, (types, must_be, default, test) in _FIELDS.items():
+            if name not in cfg and default is _REQUIRED:
+                if name in ("strategy", "strategies") and name != strategy_field:
+                    continue  # the other command's field, checked only when present
+                raise ValueError(f"config missing required field {name!r}")
+            value = cfg.setdefault(name, default)
+            if type(value) not in types or (test and not test(value)):
+                raise ValueError(f"{name} must be {must_be}, got {value!r}")
+        if cfg["T_rounds"] < 1:
+            raise ValueError(f"T_rounds must be >= 1, got {cfg['T_rounds']}")
+        check_truncation(cfg["B"], cfg["quantile"])
+        cfg["acquisition"] = AcquisitionConfig(**cfg["acquisition"])
+        objective, args = cfg["objective"], cfg["objective_args"]
+        takes = OBJECTIVE_ARGS[objective]
+        for key, value in args.items():
+            if key not in takes:
+                raise ValueError(f"unknown objective_args key {key!r} for {objective!r}, "
+                                 f"which takes {sorted(takes)}")
+            if type(value) is not takes[key]:
+                raise ValueError(f"objective_args {key} must be of type "
+                                 f"{takes[key].__name__}, got {value!r}")
+        cfg["objective"] = OBJECTIVES[objective](T=cfg["T_rounds"], **args)
+        cfg["space"] = space = SearchSpace.from_dict(cfg["space"])
+        names = [cfg["strategy"]] if strategy_field == "strategy" else cfg["strategies"]
+        for name in names:
+            if StrategyKind(name) in BANDIT_STRATEGIES and space.n_arms < 2:
+                raise ValueError(f"strategy {name!r} needs at least 2 categorical arms, "
+                                 f"the space has {space.n_arms}")
+        # Both objectives score a config by its first continuous value and first label.
+        if not (space.continuous and space.categorical):
+            raise ValueError(f"objective {objective!r} needs at least one continuous and one "
+                             f"categorical parameter, the space has {len(space.continuous)} "
+                             f"and {len(space.categorical)}")
+        _threads_cap()  # checked here: `_max_workers` reads it only once the seeds run
+        return argparse.Namespace(**cfg)
+    except (ValueError, TypeError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return None
 
 
 def _run_one_seed(args):
@@ -207,31 +219,22 @@ def _summary(records: list[RunRecord]):
 
 
 def cmd_run(config_path: str, overrides: dict | None = None) -> int:
-    try:
-        with open(config_path) as fh:
-            cfg = json.load(fh)
-        if overrides:
-            cfg.update({k: v for k, v in overrides.items() if v is not None})
-        space, objective, seeds, B, T_rounds, quantile, acq, out_dir = _parse_run_config(cfg)
-        strategy_name = _require(cfg, "strategy")
-        _check_strategy(strategy_name, space)
-        _check_objective(objective, space)
-    except (ConfigError, ValueError, TypeError, KeyError, json.JSONDecodeError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    cfg = _load_config(config_path, overrides, "strategy")
+    if cfg is None:
         return EXIT_CONFIG
-
     try:
-        records = _run_seeds(space, objective, strategy_name, B, T_rounds, quantile, acq, seeds)
-        header = _run_csv_header(space)
+        records = _run_seeds(cfg.space, cfg.objective, cfg.strategy, cfg.B, cfg.T_rounds,
+                             cfg.quantile, cfg.acquisition, cfg.seeds)
+        header = _run_csv_header(cfg.space)
         for record in records:
-            path = os.path.join(out_dir, f"run_{strategy_name}_seed{record.seed}.csv")
+            path = os.path.join(cfg.output, f"run_{cfg.strategy}_seed{record.seed}.csv")
             _atomic_write_csv(path, header, _run_csv_rows(record))
         mean, sem = _summary(records)
-        summary_path = os.path.join(out_dir, f"summary_{strategy_name}.csv")
+        summary_path = os.path.join(cfg.output, f"summary_{cfg.strategy}.csv")
         _atomic_write_csv(
             summary_path,
             ["round", "cum_regret_mean", "cum_regret_sem"],
-            ([t + 1, mean[t], sem[t]] for t in range(T_rounds)),
+            ([t + 1, mean[t], sem[t]] for t in range(cfg.T_rounds)),
         )
         print(f"wrote {len(records)} run files and {summary_path}")
         print(f"final cumulative regret (mean over {len(records)} seeds): {_fmt(float(mean[-1]))}")
@@ -242,36 +245,24 @@ def cmd_run(config_path: str, overrides: dict | None = None) -> int:
 
 
 def cmd_compare(config_path: str, overrides: dict | None = None) -> int:
-    try:
-        with open(config_path) as fh:
-            cfg = json.load(fh)
-        if overrides:
-            cfg.update({k: v for k, v in overrides.items() if v is not None})
-        space, objective, seeds, B, T_rounds, quantile, acq, out_dir = _parse_run_config(cfg)
-        strategies = _require(cfg, "strategies")
-        if not strategies:
-            raise ConfigError("strategies must be a nonempty list")
-        for name in strategies:
-            _check_strategy(name, space)
-        _check_objective(objective, space)
-    except (ConfigError, ValueError, TypeError, KeyError, json.JSONDecodeError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    cfg = _load_config(config_path, overrides, "strategies")
+    if cfg is None:
         return EXIT_CONFIG
-
     try:
         means = {}
-        for name in strategies:
-            records = _run_seeds(space, objective, name, B, T_rounds, quantile, acq, seeds)
+        for name in cfg.strategies:
+            records = _run_seeds(cfg.space, cfg.objective, name, cfg.B, cfg.T_rounds,
+                                 cfg.quantile, cfg.acquisition, cfg.seeds)
             mean, _ = _summary(records)
             means[name] = mean
-        path = os.path.join(out_dir, "compare.csv")
+        path = os.path.join(cfg.output, "compare.csv")
         _atomic_write_csv(
             path,
-            ["round", *strategies],
-            ([t + 1, *(means[n][t] for n in strategies)] for t in range(T_rounds)),
+            ["round", *cfg.strategies],
+            ([t + 1, *(means[n][t] for n in cfg.strategies)] for t in range(cfg.T_rounds)),
         )
         print(f"wrote {path}")
-        ordering = sorted(strategies, key=lambda n: means[n][-1])
+        ordering = sorted(cfg.strategies, key=lambda n: means[n][-1])
         print("final-round cumulative regret (best first):")
         for name in ordering:
             print(f"  {name}: {_fmt(float(means[name][-1]))}")
@@ -361,13 +352,9 @@ def cmd_gradcheck(seed: int = 0, n_instances: int = 100) -> int:
 
 def cmd_banditsim(C: int, B: int, T: int, V: int, seeds: list[int],
                   out: str | None = None) -> int:
-    try:
-        if not (2 <= C and 1 <= B <= C and T >= 1 and 0 <= V < T and seeds
-                and min(seeds) >= 0):
-            raise ValueError("require 2<=C, 1<=B<=C, T>=1, 0<=V<T, nonempty "
-                             "non-negative seeds")
-    except (ValueError, TypeError) as exc:
-        print(f"flag error: {exc}", file=sys.stderr)
+    if not (2 <= C and 1 <= B <= C and T >= 1 and 0 <= V < T and seeds and min(seeds) >= 0):
+        print("flag error: require 2<=C, 1<=B<=C, T>=1, 0<=V<T, nonempty non-negative seeds",
+              file=sys.stderr)
         return EXIT_CONFIG
     table = bernoulli_swap_table(0.9, 0.1, T, V=V, C=C)
     result = bandit_sim(table, B, seeds)

@@ -89,11 +89,11 @@ OBJECTIVES: dict[str, Callable[..., SyntheticObjective]] = {
     "sincos-switch": lambda V=1, T=50, **_kw: changepoint_objective(V, T),
 }
 
-# The keyword arguments each objective takes from a config's objective_args;
-# T always comes from the run's round count.
-OBJECTIVE_ARGS: dict[str, frozenset[str]] = {
-    "sincos": frozenset(),
-    "sincos-switch": frozenset({"V"}),
+# The keyword arguments each objective takes from a config's objective_args,
+# with the exact JSON type of each; T always comes from the run's round count.
+OBJECTIVE_ARGS: dict[str, dict[str, type]] = {
+    "sincos": {},
+    "sincos-switch": {"V": int},
 }
 
 

@@ -21,8 +21,8 @@ class ContinuousParam:
     upper: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ValueError(f"bounds of {self.name!r} must be finite")
+        if not math.isfinite(self.upper - self.lower):  # an infinite or NaN bound, or span
+            raise ValueError(f"bounds of {self.name!r} and their span must be finite")
         if not self.lower < self.upper:
             raise ValueError(f"{self.name!r}: lower must be < upper")
 
@@ -84,27 +84,47 @@ class SearchSpace:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SearchSpace":
-        """Build a space from its JSON document; an unknown key is a ValueError."""
-        _check_keys(doc, ("continuous", "categorical"), "space")
-        for d in doc.get("continuous", []):
-            _check_keys(d, ("name", "lower", "upper"), "continuous parameter")
-        for d in doc.get("categorical", []):
-            _check_keys(d, ("name", "choices"), "categorical parameter")
-        continuous = tuple(
-            ContinuousParam(d["name"], float(d["lower"]), float(d["upper"]))
-            for d in doc.get("continuous", [])
+        """Build a space from its JSON document.
+
+        An unknown or missing key, or a value not of its exact JSON type (a
+        bool is not a number), is a ValueError.
+        """
+        _check_object(doc, {"continuous": _LIST, "categorical": _LIST}, "space", required=False)
+        continuous, categorical = doc.get("continuous", []), doc.get("categorical", [])
+        for d in continuous:
+            _check_object(d, {"name": _STRING, "lower": _NUMBER, "upper": _NUMBER},
+                          "continuous parameter")
+        for d in categorical:
+            _check_object(d, {"name": _STRING, "choices": _LIST}, "categorical parameter")
+            if not all(type(label) is str for label in d["choices"]):
+                raise ValueError(f"choices of {d['name']!r} must be strings, got {d['choices']!r}")
+        return cls(
+            tuple(ContinuousParam(d["name"], float(d["lower"]), float(d["upper"]))
+                  for d in continuous),
+            tuple(CategoricalParam(d["name"], tuple(d["choices"])) for d in categorical),
         )
-        categorical = tuple(
-            CategoricalParam(d["name"], tuple(d["choices"]))
-            for d in doc.get("categorical", [])
-        )
-        return cls(continuous, categorical)
 
 
-def _check_keys(doc: dict, known, what: str) -> None:
-    unknown = sorted(set(doc) - set(known))
+# A JSON value type: the exact Python types json.load gives it, and its name.
+_STRING = ((str,), "a string")
+_NUMBER = ((int, float), "a number")
+_LIST = ((list,), "a list")
+
+
+def _check_object(doc, fields: dict, what: str, required: bool = True) -> None:
+    """Raise ValueError unless doc is an object whose keys are fields' and whose
+    values have their field's JSON type; with required, every key must be there."""
+    if type(doc) is not dict:
+        raise ValueError(f"{what} must be an object, got {doc!r}")
+    unknown = sorted(set(doc) - set(fields))
     if unknown:
         raise ValueError(f"unknown {what} keys {unknown}")
+    for key, (types, name) in fields.items():
+        if key not in doc:
+            if required:
+                raise ValueError(f"{what} missing key {key!r}")
+        elif type(doc[key]) not in types:
+            raise ValueError(f"{what} {key} must be {name}, got {doc[key]!r}")
 
 
 def validate_config(space: SearchSpace, config: Config) -> bool:

@@ -1,11 +1,15 @@
+import copy
 import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import popbandit
 from popbandit import _blas, cli
@@ -226,6 +230,11 @@ class TestConfigRejectedAtParseTime:
     def test_bad_seeds(self, tmp_path, capsys, seeds):
         self.assert_config_error(tmp_path, capsys, "seeds must be", seeds=seeds)
 
+    def test_duplicate_seeds(self, tmp_path, capsys):
+        # Used to run seed 0 twice, write its CSV twice and report a zero standard error.
+        self.assert_config_error(tmp_path, capsys, "seeds must be a nonempty list of distinct",
+                                 seeds=[0, 0])
+
     @pytest.mark.parametrize("rounds", [0, -2])
     def test_rounds_below_one(self, tmp_path, capsys, rounds):
         self.assert_config_error(tmp_path, capsys, "T_rounds must be >= 1", T_rounds=rounds)
@@ -251,6 +260,11 @@ class TestConfigRejectedAtParseTime:
     def test_output_not_a_path(self, tmp_path, capsys, output):
         self.assert_config_error(tmp_path, capsys, "config error: output must be", output=output)
 
+    def test_output_with_nul_character(self, tmp_path, capsys):
+        # Used to exit 3 when the output directory was made.
+        self.assert_config_error(tmp_path, capsys, "config error: output must be",
+                                 output=str(tmp_path / "o\0ut"))
+
     @pytest.mark.parametrize("threads", ["abc", "1.5", "0", "-2"])
     def test_bad_thread_cap(self, tmp_path, capsys, monkeypatch, threads):
         monkeypatch.setenv("POPBANDIT_THREADS", threads)
@@ -261,6 +275,132 @@ class TestConfigRejectedAtParseTime:
         monkeypatch.setattr(cli, "_run_seeds", no_seed_runs)
         self.assert_config_error(tmp_path, capsys, "config error: POPBANDIT_THREADS must be "
                                  "a positive integer")
+
+    @pytest.mark.parametrize("document", [[1, 2], "config", 3, None])
+    def test_document_not_an_object(self, tmp_path, capsys, document):
+        # A JSON list used to exit 1 with a traceback.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        for command in ("run", "compare"):
+            assert cli.main([command, str(path)]) == cli.EXIT_CONFIG
+            assert "config error: a config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("space", [[], "sincos", None])
+    def test_space_not_an_object(self, tmp_path, capsys, space):
+        self.assert_config_error(tmp_path, capsys, "config error: space must be an object",
+                                 space=space)
+
+    @pytest.mark.parametrize("kind, field, value, message", [
+        ("continuous", "lower", "0", "lower must be a number"),
+        ("continuous", "upper", True, "upper must be a number"),
+        ("continuous", "name", 5, "name must be a string"),
+        ("categorical", "choices", "sc", "choices must be a list"),
+        ("categorical", "choices", [1, 2], "choices of 'h' must be strings"),
+    ])
+    def test_space_parameter_of_wrong_type(self, tmp_path, capsys, kind, field, value, message):
+        space = {**SPACE, kind: [{**SPACE[kind][0], field: value}]}
+        self.assert_config_error(tmp_path, capsys, message, space=space)
+
+    def test_span_that_overflows(self, tmp_path, capsys):
+        # Used to exit 3 when the first uniform draw failed.
+        space = {**SPACE, "continuous": [{"name": "x", "lower": -1e308, "upper": 1e308}]}
+        self.assert_config_error(tmp_path, capsys, "span must be finite", space=space)
+
+    @pytest.mark.parametrize("V", [True, 1.5, "1", None, [1]])
+    def test_objective_argument_of_wrong_type(self, tmp_path, capsys, V):
+        self.assert_config_error(tmp_path, capsys, "objective_args V must be of type int",
+                                 objective="sincos-switch", objective_args={"V": V})
+
+    @pytest.mark.parametrize("strategies", ["pbt", ["pbt", "pbt"], ["pbt", 1], [["pbt"]]])
+    def test_bad_strategies(self, tmp_path, capsys, strategies):
+        cfg = write_config(tmp_path, strategies=strategies)
+        assert cli.main(["compare", cfg]) == cli.EXIT_CONFIG
+        assert "strategies must be a nonempty list of distinct names" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_other_commands_strategy_field_is_checked_when_present(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, strategies="pbt")
+        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+        assert "strategies must be" in capsys.readouterr().err
+        cfg = write_config(tmp_path, strategy="nonsense", strategies=["random"])
+        assert cli.main(["compare", cfg]) == cli.EXIT_CONFIG
+        assert "strategy must be one of" in capsys.readouterr().err
+        doc = json.loads((tmp_path / "config.json").read_text())
+        del doc["strategy"]  # which only `run` needs
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        assert cli.main(["compare", cfg]) == cli.EXIT_OK
+
+
+# Wrong JSON types for most fields, numbers out of range for the rest, and a
+# few names that some field takes.
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 8), st.floats(),
+                         st.text(max_size=4), st.sampled_from(["random", "pbt", "x", "sincos"]))
+JSON_VALUES = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3),
+                        st.dictionaries(st.sampled_from(["V", "c1", "name", "x"]) | st.text(max_size=3),
+                                        JSON_SCALARS, max_size=2))
+PROPERTY_BASE = {
+    "space": SPACE,
+    "objective": "sincos-switch",
+    "objective_args": {"V": 1},
+    "strategy": "pbt",
+    "strategies": ["random", "pbt"],
+    "seeds": [0, 1],
+    "B": 2,
+    "T_rounds": 3,
+    "quantile": 0.25,
+    "acquisition": FAST_ACQ,
+}
+# Where a drawn value replaces the base config's: top-level fields,
+# objective_args and the space's parameters.
+FIELD_PATHS = [(name,) for name in PROPERTY_BASE] + [
+    ("output",), ("seeds", 0), ("objective_args", "V"), ("acquisition", "n_candidates"),
+    ("space", "continuous"), ("space", "categorical"),
+    *(("space", "continuous", 0, key) for key in ("name", "lower", "upper")),
+    *(("space", "categorical", 0, key) for key in ("name", "choices")),
+]
+
+
+class TestConfigProperty:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(["run", "compare"]), path=st.sampled_from(FIELD_PATHS),
+           value=JSON_VALUES)
+    def test_config_runs_as_written_or_is_rejected(self, command, path, value):
+        assume(path != ("output",) or not isinstance(value, str))  # never write to a drawn path
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = copy.deepcopy(PROPERTY_BASE)
+            cfg["output"] = out = os.path.join(tmp, "out")
+            parent = cfg
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            config_path = os.path.join(tmp, "config.json")
+            with open(config_path, "w") as fh:
+                json.dump(cfg, fh)
+            code = cli.main([command, config_path])
+            assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
+            if code == cli.EXIT_CONFIG:
+                assert not os.path.exists(out)
+                return
+            # The run used each value as written: B*T rows per seed, T rounds.
+            B, T = cfg["B"], cfg["T_rounds"]
+            if command == "compare":
+                assert len(read_csv(os.path.join(out, "compare.csv"))) == 1 + T
+                return
+            name = cfg["strategy"]
+            files = {f"run_{name}_seed{s}.csv" for s in cfg["seeds"]} | {f"summary_{name}.csv"}
+            assert set(os.listdir(out)) == files
+            for seed in cfg["seeds"]:
+                assert len(read_csv(os.path.join(out, f"run_{name}_seed{seed}.csv"))) == 1 + B * T
+            assert len(read_csv(os.path.join(out, f"summary_{name}.csv"))) == 1 + T
+
+
+class TestReadme:
+    def test_config_table_names_every_field(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            table = fh.read().split("### Config fields\n\n", 1)[1].split("\n\n", 1)[0]
+        assert set(re.findall(r"^\| `(\w+)` \|", table, flags=re.M)) == set(cli._FIELDS)
 
 
 class TestCompareCommand:

@@ -39,6 +39,12 @@ class TestParams:
         with pytest.raises(ValueError):
             ContinuousParam("x", 0.0, math.inf)
 
+    def test_span_that_overflows_rejected(self):
+        # Both bounds are finite, but upper - lower is not: a uniform draw
+        # between them would fail at run time.
+        with pytest.raises(ValueError, match="span must be finite"):
+            ContinuousParam("x", -1e308, 1e308)
+
     def test_categorical_needs_two_distinct(self):
         with pytest.raises(ValueError):
             CategoricalParam("h", ("only",))
@@ -177,6 +183,29 @@ class TestJsonLoading:
     def test_unknown_keys_rejected(self, doc):
         with pytest.raises(ValueError, match="unknown"):
             SearchSpace.from_dict(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "space must be an object"),
+        ({"continuous": {"name": "x"}}, "space continuous must be a list"),
+        ({"continuous": ["x"]}, "continuous parameter must be an object"),
+        ({"continuous": [{"name": "x", "lower": 0.0}]}, "continuous parameter missing key 'upper'"),
+        ({"continuous": [{"name": "x", "lower": "0", "upper": 1.0}]}, "lower must be a number"),
+        ({"continuous": [{"name": "x", "lower": 0.0, "upper": True}]}, "upper must be a number"),
+        ({"continuous": [{"name": 5, "lower": 0.0, "upper": 1.0}]}, "name must be a string"),
+        ({"categorical": [{"name": "h", "choices": "sc"}]}, "choices must be a list"),
+        ({"categorical": [{"name": "h", "choices": [1, 2]}]}, "choices of 'h' must be strings"),
+        ({"categorical": [{"name": None, "choices": ["a", "b"]}]}, "name must be a string"),
+    ])
+    def test_wrong_json_types_rejected(self, doc, message):
+        # Each of these used to be cast (float("0"), float(True), tuple("sc"))
+        # or accepted as it was.
+        with pytest.raises(ValueError, match=message):
+            SearchSpace.from_dict(doc)
+
+    def test_integer_bounds_become_floats(self):
+        space = SearchSpace.from_dict({"continuous": [{"name": "x", "lower": 0, "upper": 2}]})
+        assert space.continuous[0] == ContinuousParam("x", 0.0, 2.0)
+        assert type(space.continuous[0].lower) is float
 
 
 def two_by_three_space():
