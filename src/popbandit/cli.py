@@ -125,7 +125,10 @@ def _load_config(path: str, overrides: dict | None, strategy_field: str):
     """
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except RecursionError:
+                raise ValueError("the JSON document is nested too deeply") from None
         if type(cfg) is not dict:
             raise ValueError(f"a config must be a JSON object, got {type(cfg).__name__}")
         cfg.update({k: v for k, v in (overrides or {}).items() if v is not None})
@@ -333,6 +336,9 @@ def gradient_check(seed: int = 0, n_instances: int = 100, step: float = 1e-6):
 
 
 def cmd_gradcheck(seed: int = 0, n_instances: int = 100) -> int:
+    if seed < 0:  # numpy's generator takes no negative seed
+        print(f"flag error: --seed must be >= 0, got {seed}", file=sys.stderr)
+        return EXIT_CONFIG
     if n_instances < 1:  # a check of no instance would pass whatever the gradient
         print(f"flag error: --instances must be >= 1, got {n_instances}", file=sys.stderr)
         return EXIT_CONFIG

@@ -33,7 +33,10 @@ than rebuilding and re-factoring the model. The batch's one candidate set U is
 solved once per category assignment, V = L^-1 K(rows, U); when a pick reads an
 assignment again, its V gains one row per hallucination since, an O(nN) step,
 so U costs one cross-kernel and one triangular solve per batch and
-assignment, not per pick.
+assignment, not per pick. When the model's factor needed jitter, or an
+appended pivot is not positive, each append from then on re-factors all rows
+instead; that factor replaces the bordered one and the kept V are dropped.
+Queries read the batch's one factor either way.
 
 Continuous inputs are expected pre-scaled to the unit hypercube. Models with no
 categorical columns use only the continuous-time factor (sigma2, eps2, lambda
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import collections
 import copy
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -247,9 +251,6 @@ class GPModel:
         self.theta = theta
         self.bounds = bounds if bounds is not None else HyperparamBounds.default(self.X.shape[1])
         self._d2, self._match, self._dt = _pairwise(self.X, self.H, self.t, self.X, self.H, self.t)
-        self._chol = None
-        self._alpha = None
-        self._jitter = 0.0
 
     @property
     def n(self) -> int:
@@ -259,35 +260,34 @@ class GPModel:
     def mixed(self) -> bool:
         return self.H.shape[1] > 0
 
-    def _ensure_factorization(self):
-        if self._chol is None:
-            theta = self.theta.as_array()
-            K = _kernel_matrix(theta, self._d2, self._match, self._dt)
-            K.flat[:: self.n + 1] += theta[6]
-            # One thread, as in `fit`: OpenBLAS rounds a Cholesky of 128 or
-            # more rows differently on different thread counts, and seed
-            # workers run on one.
-            with _blas.single_thread():
-                self._chol, self._jitter = _chol_with_jitter(K)
-                # dpotrs refuses a 0-row right-hand side; batch acquisition
-                # factors an empty model too.
-                self._alpha = lapack.dpotrs(self._chol, self.y, lower=1)[0] if self.n else self.y
+    @functools.cached_property
+    def _factorization(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(L, alpha, jitter) of K + noise*I, factored on first use."""
+        theta = self.theta.as_array()
+        K = _kernel_matrix(theta, self._d2, self._match, self._dt)
+        K.flat[:: self.n + 1] += theta[6]
+        # One thread, as in `fit`: OpenBLAS rounds a Cholesky of 128 or
+        # more rows differently on different thread counts, and seed
+        # workers run on one.
+        with _blas.single_thread():
+            L, jitter = _chol_with_jitter(K)
+            # dpotrs refuses a 0-row right-hand side; batch acquisition
+            # factors an empty model too.
+            alpha = lapack.dpotrs(L, self.y, lower=1)[0] if self.n else self.y
+        return L, alpha, jitter
 
     @property
     def chol(self) -> np.ndarray:
-        self._ensure_factorization()
-        return self._chol
+        return self._factorization[0]
 
     @property
     def alpha_vec(self) -> np.ndarray:
-        self._ensure_factorization()
-        return self._alpha
+        return self._factorization[1]
 
     @property
     def jitter(self) -> float:
         """Diagonal jitter the Cholesky factor needed (0.0 when none)."""
-        self._ensure_factorization()
-        return self._jitter
+        return self._factorization[2]
 
     def posterior(self, Xq, Hq, tq):
         """Predictive mean and variance at query points (vectorized).
@@ -307,9 +307,8 @@ class GPModel:
             return np.zeros(nq), np.full(nq, prior)
         d2, match, dt = _pairwise(self.X, self.H, self.t, Xq, Hq, tq_arr)
         kq = _kernel_matrix(theta, d2, match, dt)  # (n, nq)
-        self._ensure_factorization()
-        mu = kq.T @ self._alpha
-        v = _solve_lower(self._chol, kq)
+        mu = kq.T @ self.alpha_vec
+        v = _solve_lower(self.chol, kq)
         var = prior - np.sum(v * v, axis=0)
         return mu, np.maximum(var, 0.0)
 
@@ -333,17 +332,15 @@ class GPModel:
         """Same data under other hyperparameters; shares the pairwise structure."""
         model = copy.copy(self)
         model.theta = theta
-        model._chol = model._alpha = None
-        model._jitter = 0.0
+        model.__dict__.pop("_factorization", None)
         return model
 
 
 class _CandidateSet(NamedTuple):
-    """One category assignment's view of the batch's candidates U: its codes as
-    one row h, frozen mean mu, V = L^-1 K(rows, U) over the first len(V) rows of
-    the factor, and the column sums of V*V."""
+    """One category assignment's view of the batch's candidates U: frozen mean
+    mu, V = L^-1 K(rows, U) over the first len(V) rows of the factor, and the
+    column sums of V*V."""
 
-    h: np.ndarray
     mu: np.ndarray
     V: np.ndarray
     ss: np.ndarray
@@ -367,8 +364,9 @@ class _BatchPosterior:
     that no later pick asks for is never extended.
 
     When the model's factor needed jitter, or a new pivot d^2 is not positive,
-    the kept sets are dropped and the rest of the batch re-factors a
-    `with_observation` chain instead, as a full model would.
+    `append` re-factors all rows, as a full model would, and from then on
+    every append does so: the re-factored factor replaces L and the kept sets,
+    solved against the old one, are dropped. Queries read L either way.
     """
 
     def __init__(self, model: GPModel, U: np.ndarray, tq: float):
@@ -378,7 +376,8 @@ class _BatchPosterior:
         self._prior = _prior_variance(self._theta, model.mixed)
         self._X, self._H, self._t = model.X, model.H, model.t
         self._L = model.chol
-        self._fallback = model if model.jitter > 0.0 else None
+        # The model whose factor is _L once appends re-factor instead of bordering.
+        self._refactored = model if model.jitter > 0.0 else None
         self._U, self._tq = U, float(tq)
         self._sets: dict = {}  # category codes -> _CandidateSet
 
@@ -389,43 +388,45 @@ class _BatchPosterior:
 
     def append(self, x, h, t) -> None:
         """Hallucinate an observation at (x, h, t)."""
-        if self._fallback is not None:
-            self._fallback = self._fallback.with_observation(x, h, t, 0.0)
-            return
         hrow = self._codes(h)
         x = np.reshape(x, -1)
         self._X = np.vstack([self._X, x])
         self._H = np.vstack([self._H, hrow])
         self._t = np.append(self._t, float(t))
-        k = _kernel_column(self._theta, self._X, self._H, self._t, x, hrow, float(t))
-        c = _solve_lower(self._L, k[:-1])
-        pivot = k[-1] + self._theta[6] - c @ c
-        if not pivot > 0.0:
+        if self._refactored is not None:
+            self._refactored = self._refactored.with_observation(x, hrow, t, 0.0)
+        else:
+            k = _kernel_column(self._theta, self._X, self._H, self._t, x, hrow, float(t))
+            c = _solve_lower(self._L, k[:-1])
+            pivot = k[-1] + self._theta[6] - c @ c
+            if pivot > 0.0:
+                L = np.zeros((len(k), len(k)))
+                L[:-1, :-1] = self._L
+                L[-1, :-1] = c
+                L[-1, -1] = math.sqrt(pivot)
+                self._L = L
+                return
             y = np.append(self.model.y, np.zeros(len(self._t) - self.model.n))
-            self._fallback = GPModel(self._X, self._H, self._t, y, self.model.theta,
-                                     self.model.bounds)
-            self._sets.clear()
-            return
-        L = np.zeros((len(k), len(k)))
-        L[:-1, :-1] = self._L
-        L[-1, :-1] = c
-        L[-1, -1] = math.sqrt(pivot)
-        self._L = L
+            self._refactored = GPModel(self._X, self._H, self._t, y, self.model.theta,
+                                       self.model.bounds)
+        self._L = self._refactored.chol
+        self._sets.clear()  # their V were solved against the replaced factor
 
     def candidates(self, h):
         """(frozen mean, hallucinated variance) at the candidates U with category codes h."""
         hrow = self._codes(h)
-        if self._fallback is not None:
-            return self._fallback_query(self._U, np.tile(hrow, (len(self._U), 1)))
         key = hrow.tobytes()
         cs = self._sets.get(key)
         if cs is None:
-            mu, k = self._cross(self._U, np.tile(hrow, (len(self._U), 1)))
+            k = _kernel_matrix(self._theta, *_pairwise(self._X, self._H, self._t, self._U,
+                                                       np.tile(hrow, (len(self._U), 1)),
+                                                       np.full(len(self._U), self._tq)))
             V = _solve_lower(self._L, k)
-            cs = _CandidateSet(hrow[None, :], mu, V, np.sum(V * V, axis=0))
+            cs = _CandidateSet(k[:self.model.n].T @ self.model.alpha_vec, V,
+                               np.sum(V * V, axis=0))
         for r in range(len(cs.V), len(self._L)):  # hallucinations V has not seen
             # One row of codes h: the category match with the hallucination is one number.
-            kx = _kernel_column(self._theta, self._U, cs.h, self._tq,
+            kx = _kernel_column(self._theta, self._U, hrow[None, :], self._tq,
                                 self._X[r], self._H[r], self._t[r])
             v = (kx - self._L[r, :r] @ cs.V) / self._L[r, r]
             cs = cs._replace(V=np.vstack([cs.V, v]), ss=cs.ss + v * v)
@@ -434,26 +435,9 @@ class _BatchPosterior:
 
     def point(self, x, h) -> tuple[float, float]:
         """(frozen mean, hallucinated variance) at one point x with codes h, at round tq."""
-        hrow = self._codes(h)
-        if self._fallback is not None:
-            mu, var = self._fallback_query(np.reshape(x, (1, -1)), hrow[None, :])
-            return mu[0], var[0]
-        k = _kernel_column(self._theta, self._X, self._H, self._t, x, hrow, self._tq)
+        k = _kernel_column(self._theta, self._X, self._H, self._t, x, self._codes(h), self._tq)
         v = _solve_lower(self._L, k)
         return k[:self.model.n] @ self.model.alpha_vec, max(self._prior - np.sum(v * v), 0.0)
-
-    def _cross(self, Xq, Hq):
-        """(frozen mean at Xq, cross-kernel of Xq at round tq against the data and,
-        unless the batch has fallen back, the hallucinations)."""
-        rows = slice(None) if self._fallback is None else slice(self.model.n)
-        k = _kernel_matrix(self._theta, *_pairwise(self._X[rows], self._H[rows], self._t[rows],
-                                                   Xq, Hq, np.full(len(Xq), self._tq)))
-        return k[:self.model.n].T @ self.model.alpha_vec, k
-
-    def _fallback_query(self, Xq, Hq):
-        """(frozen mean, variance of the re-factored chain) at the rows of Xq, at round tq."""
-        mu, _ = self._cross(Xq, Hq)
-        return mu, self._fallback.posterior(Xq, Hq, self._tq)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,29 @@ class TestAppendedRowFactor:
             assert var.tobytes() == chain.posterior(Xq, None, 1.0)[1].tobytes()
         assert chain.jitter > 0.0
 
+    def test_refactoring_drops_kept_candidate_sets_of_mixed_model(self):
+        # k** = (1 - lam)(sigma1 + sigma2) = 1, so hallucinating at the one data
+        # point leaves a pivot of exactly 0. Sets kept for both categories before
+        # then were solved against the factor the re-factoring replaces.
+        theta = GPHyperparams(eps1=0.0, eps2=0.0, sigma1=0.5, sigma2=0.5, lam=0.0, noise=0.0)
+        model = GPModel(np.array([[0.5]]), np.array([[0]]), np.array([1.0]),
+                        np.array([0.3]), theta)
+        assert model.jitter == 0.0
+        Xq = np.linspace(0.0, 1.0, 11).reshape(-1, 1)
+        posterior = gp._BatchPosterior(model, Xq, 1.0)
+        for h in (0, 1):
+            posterior.candidates(np.array([h]))
+        chain = model
+        for x, h in ((0.5, 0), (0.9, 1)):
+            posterior.append(np.array([x]), np.array([h]), 1.0)
+            chain = chain.with_observation(np.array([x]), np.array([h]), 1.0, 0.0)
+            for hq in (0, 1):
+                Hq = np.full((len(Xq), 1), hq)
+                mu, var = posterior.candidates(np.array([hq]))
+                assert mu.tobytes() == model.posterior(Xq, Hq, 1.0)[0].tobytes()
+                assert var.tobytes() == chain.posterior(Xq, Hq, 1.0)[1].tobytes()
+        assert chain.jitter > 0.0
+
 
 class TestOneCandidateSetPerBatch:
     @pytest.mark.parametrize("d", [1, 2, 3])

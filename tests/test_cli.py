@@ -285,6 +285,14 @@ class TestConfigRejectedAtParseTime:
             assert cli.main([command, str(path)]) == cli.EXIT_CONFIG
             assert "config error: a config must be a JSON object" in capsys.readouterr().err
 
+    def test_document_nested_too_deeply(self, tmp_path, capsys):
+        # Used to exit 1 with a RecursionError traceback from json.load.
+        path = tmp_path / "config.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        for command in ("run", "compare"):
+            assert cli.main([command, str(path)]) == cli.EXIT_CONFIG
+            assert "config error: the JSON document is nested too deeply" in capsys.readouterr().err
+
     @pytest.mark.parametrize("space", [[], "sincos", None])
     def test_space_not_an_object(self, tmp_path, capsys, space):
         self.assert_config_error(tmp_path, capsys, "config error: space must be an object",
@@ -439,6 +447,13 @@ class TestGradcheck:
         assert cli.main(["gradcheck", "--instances", instances]) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
         assert "flag error:" in captured.err
+        assert "pass" not in captured.out
+
+    def test_negative_seed_is_flag_error(self, capsys):
+        # Used to exit 1 with numpy's ValueError traceback.
+        assert cli.main(["gradcheck", "--seed", "-1"]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "flag error: --seed must be >= 0" in captured.err
         assert "pass" not in captured.out
 
 

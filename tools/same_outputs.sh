@@ -1,0 +1,73 @@
+#!/usr/bin/env bash
+# Check that the working tree's src/ writes the same bytes as src/ of REV.
+#
+# Usage: tools/same_outputs.sh [REV]    (REV defaults to HEAD)
+#
+# Runs, on both trees and at POPBANDIT_THREADS 1 and 2:
+#   - a 5-strategy x 3-seed `compare` on sincos (B=4, T=50);
+#   - the same on sincos-switch V=2 (B=8, T=30); with batches of 2 picks it
+#     runs hallucinated appends and kept candidate sets, which B=4 (one pick
+#     per batch) does not;
+#   - `run` of pb2-mix and pb2-mult on a space with 2 continuous and 2
+#     categorical parameters (B=12, T=25).
+# Then compares every CSV and every command's stdout with `diff -r`; exits
+# non-zero on any difference. Writes only into a temporary directory.
+set -euo pipefail
+
+rev=${1:-HEAD}
+repo=$(cd "$(dirname "$0")/.." && pwd)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+mkdir -p "$tmp/rev" "$tmp/configs"
+git -C "$repo" archive "$rev" src | tar -x -C "$tmp/rev"
+
+strategies='["random", "pbt", "pb2-rand", "pb2-mult", "pb2-mix"]'
+sincos_space='{"continuous": [{"name": "x", "lower": 0.0, "upper": 1.5707963267948966}],
+               "categorical": [{"name": "h", "choices": ["sin", "cos"]}]}'
+wide_space='{"continuous": [{"name": "x", "lower": 0.0, "upper": 1.5707963267948966},
+                            {"name": "z", "lower": -1.0, "upper": 1.0}],
+             "categorical": [{"name": "h", "choices": ["sin", "cos"]},
+                             {"name": "g", "choices": ["a", "b", "c"]}]}'
+cat > "$tmp/configs/compare-sincos.json" <<EOF
+{"space": $sincos_space, "objective": "sincos", "strategies": $strategies,
+ "seeds": [0, 1, 2], "B": 4, "T_rounds": 50}
+EOF
+cat > "$tmp/configs/compare-switch.json" <<EOF
+{"space": $sincos_space, "objective": "sincos-switch", "objective_args": {"V": 2},
+ "strategies": $strategies, "seeds": [0, 1, 2], "B": 8, "T_rounds": 30}
+EOF
+for strategy in pb2-mix pb2-mult; do
+    cat > "$tmp/configs/run-$strategy.json" <<EOF
+{"space": $wide_space, "objective": "sincos", "strategy": "$strategy",
+ "seeds": [0, 1], "B": 12, "T_rounds": 25}
+EOF
+done
+
+# outputs TREE NAME: every job's files under $tmp/out/NAME/threads<N>/<job>/.
+# Both trees write into $tmp/run, so that the paths they print are the same.
+outputs() {
+    local src=$1/src name=$2 threads config job dir command
+    for threads in 1 2; do
+        for config in "$tmp"/configs/*.json; do
+            job=$(basename "$config" .json)
+            dir=$tmp/run/threads$threads/$job
+            mkdir -p "$dir"
+            command=${job%%-*}
+            # From $tmp, so that no popbandit/ in the caller's directory shadows $src.
+            (cd "$tmp" && POPBANDIT_THREADS=$threads PYTHONPATH=$src \
+                python3 -m popbandit.cli "$command" "$config" --out "$dir" > "$dir/stdout.txt")
+        done
+    done
+    mkdir -p "$tmp/out"
+    mv "$tmp/run" "$tmp/out/$name"
+}
+
+outputs "$tmp/rev" rev
+outputs "$repo" work
+if diff -r "$tmp/out/rev" "$tmp/out/work"; then
+    echo "same outputs: $(find "$tmp/out/work" -type f | wc -l) files identical to $rev"
+else
+    echo "outputs differ from $rev" >&2
+    exit 1
+fi
