@@ -32,9 +32,7 @@ from .harness import (
     RunRecord,
     bandit_sim,
     bernoulli_swap_table,
-    changepoint_objective,
     run_experiment,
-    sincos_objective,
 )
 from .space import SearchSpace
 from .strategies import BANDIT_STRATEGIES, StrategyKind, check_truncation

@@ -27,16 +27,17 @@ counts; so no result depends on the thread count. The posterior's products
 over many candidates keep their threads.
 `GPModel.jitter` reports the diagonal jitter its factor needed (0.0 when none).
 
-Batch acquisition queries a `_BatchPosterior` (GP-BUCB): each hallucinated
-input appends one row to the model's Cholesky factor, an O(n^2) solve, rather
-than rebuilding and re-factoring the model. The batch's one candidate set U is
-solved once per category assignment, V = L^-1 K(rows, U); when a pick reads an
-assignment again, its V gains one row per hallucination since, an O(nN) step,
-so U costs one cross-kernel and one triangular solve per batch and
-assignment, not per pick. When the model's factor needed jitter, or an
-appended pivot is not positive, each append from then on re-factors all rows
-instead; that factor replaces the bordered one and the kept V are dropped.
-Queries read the batch's one factor either way.
+Every kernel between two row sets comes from `_pairwise` (d2 and the category
+matches summed one column at a time) and `_kernel_matrix`, and every posterior
+query from `_query` (k^T alpha and L^-1 k). Batch acquisition queries a
+`_BatchPosterior` (GP-BUCB): each hallucinated input appends one row to the
+model's Cholesky factor, an O(n^2) solve, rather than re-factoring the model.
+The batch's one candidate set U is solved once per category assignment,
+V = L^-1 K(rows, U); when a pick reads an assignment again, its V gains one
+row per hallucination since, an O(nN) step, not a new query of U. When the
+model's factor needed jitter, or an appended pivot is not positive, each
+append from then on re-factors all rows; that factor replaces the bordered
+one and the kept V are dropped.
 
 Continuous inputs are expected pre-scaled to the unit hypercube. Models with no
 categorical columns use only the continuous-time factor (sigma2, eps2, lambda
@@ -114,45 +115,26 @@ class HyperparamBounds:
 
 
 # ---------------------------------------------------------------------------
-# Scalar kernel pieces
-# ---------------------------------------------------------------------------
-
-def k_continuous(x, x_other, sigma1: float, lengthscale: float) -> float:
-    x = np.asarray(x, dtype=float)
-    x_other = np.asarray(x_other, dtype=float)
-    return sigma1 * math.exp(-float(np.sum((x - x_other) ** 2)) / lengthscale)
-
-
-def k_categorical(h, h_other, sigma2: float, n_cat_dims: int) -> float:
-    matches = sum(1 for a, b in zip(h, h_other) if a == b)
-    return sigma2 / n_cat_dims * matches
-
-
-def k_time(t: float, t_other: float, eps: float) -> float:
-    return (1.0 - eps) ** (abs(t - t_other) / 2.0)
-
-
-def k_mixed(z, z_other, t, t_other, theta: GPHyperparams) -> float:
-    """Sum/product mixture of (continuous x time) and (categorical x time)."""
-    x, h = z
-    x2, h2 = z_other
-    kxt = k_continuous(x, x2, theta.sigma1, theta.lengthscale) * k_time(t, t_other, theta.eps1)
-    kht = k_categorical(h, h2, theta.sigma2, len(h)) * k_time(t, t_other, theta.eps2)
-    return (1.0 - theta.lam) * (kxt + kht) + theta.lam * kxt * kht
-
-
-# ---------------------------------------------------------------------------
 # Gram matrix machinery (vectorized over precomputed pairwise structure)
 # ---------------------------------------------------------------------------
 
 def _pairwise(X1, H1, t1, X2, H2, t2):
-    """(squared distances, categorical match fraction or None, |dt|)."""
-    d2 = np.sum((X1[:, None, :] - X2[None, :, :]) ** 2, axis=-1) if X1.shape[1] else np.zeros(
-        (len(X1), len(X2))
-    )
+    """(squared distances, categorical match fraction or None, |dt|) between two row
+    sets, summed column by column (for d <= 7 in numpy's sum order), with no n1 x n2 x d
+    temporary. Either side's H and t may be one row, (1, m) and (1,); t2 also a scalar."""
+    n1, n2, d = len(X1), len(X2), X1.shape[1]
+    d2 = (X1[:, 0, None] - X2[None, :, 0]) ** 2 if d else np.zeros((n1, n2))
+    for j in range(1, d):
+        d2 += (X1[:, j, None] - X2[None, :, j]) ** 2
     m = H1.shape[1]
-    match = np.mean(H1[:, None, :] == H2[None, :, :], axis=-1) if m else None
-    dt = np.abs(t1[:, None] - t2[None, :])
+    match = None
+    if m:
+        match = np.zeros((n1, n2))
+        for j in range(m):
+            match += H1[:, j, None] == H2[None, :, j]
+        match /= m
+    # Full width even for one round, so the time factor's exp runs over whole arrays.
+    dt = np.abs(np.subtract(t1[:, None], t2, out=np.empty((n1, n2))))
     return d2, match, dt
 
 
@@ -180,15 +162,6 @@ def _combine(lam: float, kxt, kht):
 
 def _kernel_matrix(theta: np.ndarray, d2, match, dt):
     return _combine(theta[5], *_kernel_parts(theta, d2, match, dt))
-
-
-def _kernel_column(theta: np.ndarray, X, H, t, x, h, tq: float) -> np.ndarray:
-    """k between the rows (X, H, t) and one point (x, h, tq), with the bits of the
-    n x 1 column `_pairwise` would give, but without its n x 1 x d temporary.
-    t may be one round shared by all rows."""
-    d2 = np.sum((X - x) ** 2, axis=1)
-    match = np.mean(H == h, axis=1) if H.shape[1] else None
-    return _kernel_matrix(theta, d2, match, np.abs(t - tq))
 
 
 def _prior_variance(theta: np.ndarray, mixed: bool) -> float:
@@ -230,6 +203,13 @@ def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
     return x
+
+
+def _query(theta: np.ndarray, L, alpha, rows, Xq, Hq, tq):
+    """(k^T alpha, L^-1 k) for k = K(rows, (Xq, Hq, tq)), where rows = (X, H, t) are
+    L's rows and alpha weights the first len(alpha) of them (the observations)."""
+    k = _kernel_matrix(theta, *_pairwise(*rows, Xq, Hq, tq))
+    return k[:len(alpha)].T @ alpha, _solve_lower(L, k)
 
 
 class GPModel:
@@ -292,25 +272,18 @@ class GPModel:
     def posterior(self, Xq, Hq, tq):
         """Predictive mean and variance at query points (vectorized).
 
-        Hq may be None for continuous-only models. Variance is clamped to >= 0.
+        Hq holds one code per categorical column for each query point; a
+        continuous-only model ignores it. Variance is clamped to >= 0.
         """
         Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-        nq = len(Xq)
-        if Hq is None:
-            Hq = np.zeros((nq, 0), dtype=int)
-        else:
-            Hq = np.asarray(Hq, dtype=int).reshape(nq, -1)
-        tq_arr = np.full(nq, float(tq)) if np.isscalar(tq) else np.asarray(tq, dtype=float)
+        nq, m = len(Xq), self.H.shape[1]
+        if m and (Hq is None or np.size(Hq) != nq * m):
+            raise ValueError(f"the model has {m} categorical column(s), so Hq needs {m} code(s) "
+                             f"per query point; got {Hq if Hq is None else np.shape(Hq)}")
+        Hq = np.asarray(Hq, dtype=int).reshape(nq, m) if m else self.H  # 0 columns: not read
         theta = self.theta.as_array()
-        prior = _prior_variance(theta, self.mixed)
-        if self.n == 0:
-            return np.zeros(nq), np.full(nq, prior)
-        d2, match, dt = _pairwise(self.X, self.H, self.t, Xq, Hq, tq_arr)
-        kq = _kernel_matrix(theta, d2, match, dt)  # (n, nq)
-        mu = kq.T @ self.alpha_vec
-        v = _solve_lower(self.chol, kq)
-        var = prior - np.sum(v * v, axis=0)
-        return mu, np.maximum(var, 0.0)
+        mu, v = _query(theta, self.chol, self.alpha_vec, (self.X, self.H, self.t), Xq, Hq, tq)
+        return mu, np.maximum(_prior_variance(theta, self.mixed) - np.sum(v * v, axis=0), 0.0)
 
     def with_observation(self, x, h, t, y) -> "GPModel":
         """New model with one appended observation (used for hallucination)."""
@@ -355,7 +328,7 @@ class _BatchPosterior:
     Burdick, JMLR 2014).
 
     The batch's candidate set U, queried at round tq, is solved once per
-    category assignment, when `candidates` first asks for it: one cross-kernel
+    category assignment, when `candidates` first asks for it: one `_query`
     against the data and the hallucinations gives the mean, k^T alpha over the
     data rows, and V = L^-1 K(rows, U). When `candidates` asks for that
     assignment again, V gains one row per hallucination appended since,
@@ -366,7 +339,8 @@ class _BatchPosterior:
     When the model's factor needed jitter, or a new pivot d^2 is not positive,
     `append` re-factors all rows, as a full model would, and from then on
     every append does so: the re-factored factor replaces L and the kept sets,
-    solved against the old one, are dropped. Queries read L either way.
+    solved against the old one, are dropped. Queries read L either way, and
+    every kernel here comes from `_pairwise`, with h and tq as one row and round.
     """
 
     def __init__(self, model: GPModel, U: np.ndarray, tq: float):
@@ -382,21 +356,21 @@ class _BatchPosterior:
         self._sets: dict = {}  # category codes -> _CandidateSet
 
     def _codes(self, h) -> np.ndarray:
-        """h as one row of the model's category codes (empty when it has none)."""
+        """h as one row (1 x m) of the model's category codes (empty when it has none)."""
         m = self._H.shape[1]  # a continuous-only model ignores h, as with_observation does
-        return np.asarray(h, dtype=int).reshape(m) if m else np.zeros(0, dtype=int)
+        return np.asarray(h, dtype=int).reshape(1, m) if m else np.zeros((1, 0), dtype=int)
 
     def append(self, x, h, t) -> None:
         """Hallucinate an observation at (x, h, t)."""
         hrow = self._codes(h)
-        x = np.reshape(x, -1)
+        x = np.reshape(x, (1, -1))
         self._X = np.vstack([self._X, x])
         self._H = np.vstack([self._H, hrow])
         self._t = np.append(self._t, float(t))
         if self._refactored is not None:
             self._refactored = self._refactored.with_observation(x, hrow, t, 0.0)
         else:
-            k = _kernel_column(self._theta, self._X, self._H, self._t, x, hrow, float(t))
+            k = _kernel_matrix(self._theta, *_pairwise(self._X, self._H, self._t, x, hrow, t))[:, 0]
             c = _solve_lower(self._L, k[:-1])
             pivot = k[-1] + self._theta[6] - c @ c
             if pivot > 0.0:
@@ -418,26 +392,23 @@ class _BatchPosterior:
         key = hrow.tobytes()
         cs = self._sets.get(key)
         if cs is None:
-            k = _kernel_matrix(self._theta, *_pairwise(self._X, self._H, self._t, self._U,
-                                                       np.tile(hrow, (len(self._U), 1)),
-                                                       np.full(len(self._U), self._tq)))
-            V = _solve_lower(self._L, k)
-            cs = _CandidateSet(k[:self.model.n].T @ self.model.alpha_vec, V,
-                               np.sum(V * V, axis=0))
+            mu, V = _query(self._theta, self._L, self.model.alpha_vec,
+                           (self._X, self._H, self._t), self._U, hrow, self._tq)
+            cs = _CandidateSet(mu, V, np.sum(V * V, axis=0))
         for r in range(len(cs.V), len(self._L)):  # hallucinations V has not seen
-            # One row of codes h: the category match with the hallucination is one number.
-            kx = _kernel_column(self._theta, self._U, hrow[None, :], self._tq,
-                                self._X[r], self._H[r], self._t[r])
-            v = (kx - self._L[r, :r] @ cs.V) / self._L[r, r]
+            row = slice(r, r + 1)
+            k = _kernel_matrix(self._theta, *_pairwise(self._X[row], self._H[row], self._t[row],
+                                                       self._U, hrow, self._tq))[0]
+            v = (k - self._L[r, :r] @ cs.V) / self._L[r, r]
             cs = cs._replace(V=np.vstack([cs.V, v]), ss=cs.ss + v * v)
         self._sets[key] = cs
         return cs.mu, np.maximum(self._prior - cs.ss, 0.0)
 
     def point(self, x, h) -> tuple[float, float]:
         """(frozen mean, hallucinated variance) at one point x with codes h, at round tq."""
-        k = _kernel_column(self._theta, self._X, self._H, self._t, x, self._codes(h), self._tq)
-        v = _solve_lower(self._L, k)
-        return k[:self.model.n] @ self.model.alpha_vec, max(self._prior - np.sum(v * v), 0.0)
+        mu, v = _query(self._theta, self._L, self.model.alpha_vec, (self._X, self._H, self._t),
+                       np.reshape(x, (1, -1)), self._codes(h), self._tq)
+        return mu[0], max(self._prior - np.sum(v * v), 0.0)
 
 
 # ---------------------------------------------------------------------------

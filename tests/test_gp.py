@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,13 +15,36 @@ from popbandit.gp import (
     PARAM_NAMES,
     fit,
     grad_log_marginal,
-    k_categorical,
-    k_continuous,
-    k_mixed,
-    k_time,
     log_marginal,
     windowed,
 )
+
+
+# Scalar kernel pieces: the kernel's definition one pair of points at a time,
+# the oracle the vectorized builder is checked against.
+
+def k_continuous(x, x_other, sigma1: float, lengthscale: float) -> float:
+    x = np.asarray(x, dtype=float)
+    x_other = np.asarray(x_other, dtype=float)
+    return sigma1 * math.exp(-float(np.sum((x - x_other) ** 2)) / lengthscale)
+
+
+def k_categorical(h, h_other, sigma2: float, n_cat_dims: int) -> float:
+    matches = sum(1 for a, b in zip(h, h_other) if a == b)
+    return sigma2 / n_cat_dims * matches
+
+
+def k_time(t: float, t_other: float, eps: float) -> float:
+    return (1.0 - eps) ** (abs(t - t_other) / 2.0)
+
+
+def k_mixed(z, z_other, t, t_other, theta: GPHyperparams) -> float:
+    """Sum/product mixture of (continuous x time) and (categorical x time)."""
+    x, h = z
+    x2, h2 = z_other
+    kxt = k_continuous(x, x2, theta.sigma1, theta.lengthscale) * k_time(t, t_other, theta.eps1)
+    kht = k_categorical(h, h2, theta.sigma2, len(h)) * k_time(t, t_other, theta.eps2)
+    return (1.0 - theta.lam) * (kxt + kht) + theta.lam * kxt * kht
 
 
 def random_dataset(rng, n=8, d=2, m=1, codes=3):
@@ -113,6 +137,66 @@ class TestKernelMatrix:
         assert np.allclose(np.diag(K), prior)
 
 
+def pairwise_3d(X1, H1, t1, X2, H2, t2):
+    """The builder `_pairwise` replaced: n1 x n2 x d and n1 x n2 x m temporaries,
+    both sides given row by row. The reference its bits are pinned to."""
+    d2 = np.sum((X1[:, None, :] - X2[None, :, :]) ** 2, axis=-1) if X1.shape[1] else np.zeros(
+        (len(X1), len(X2))
+    )
+    m = H1.shape[1]
+    match = np.mean(H1[:, None, :] == H2[None, :, :], axis=-1) if m else None
+    dt = np.abs(t1[:, None] - t2[None, :])
+    return d2, match, dt
+
+
+class TestPairwise:
+    @staticmethod
+    def assert_same_bits(got, want):
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("d", range(8))
+    def test_bits_of_the_3d_builder(self, d, m):
+        rng = np.random.default_rng(100 * d + m)
+        for _ in range(4):
+            n1, n2 = rng.integers(1, 40, size=2)
+            X1, X2 = rng.uniform(size=(n1, d)), rng.uniform(-1.0, 2.0, size=(n2, d))
+            H1, H2 = rng.integers(0, 3, size=(n1, m)), rng.integers(0, 3, size=(n2, m))
+            t1, t2 = rng.integers(0, 30, size=n1) * 1.0, rng.uniform(0.0, 30.0, size=n2)
+            self.assert_same_bits(gp._pairwise(X1, H1, t1, X2, H2, t2),
+                                  pairwise_3d(X1, H1, t1, X2, H2, t2))
+            # One row of codes and one round, on either side, stand for every row.
+            h, tq = rng.integers(0, 3, size=(1, m)), float(rng.integers(0, 30))
+            self.assert_same_bits(gp._pairwise(X1, H1, t1, X2, h, tq),
+                                  pairwise_3d(X1, H1, t1, X2, np.repeat(h, n2, axis=0),
+                                              np.full(n2, tq)))
+            self.assert_same_bits(gp._pairwise(X2, h, np.array([tq]), X1, H1, t1),
+                                  pairwise_3d(X2, np.repeat(h, n2, axis=0), np.full(n2, tq),
+                                              X1, H1, t1))
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_peak_memory_does_not_grow_with_dimension(self, m):
+        rng = np.random.default_rng(m)
+        n, N = 200, 1000
+        peaks = []
+        for d in (1, 7):
+            X, U = rng.uniform(size=(n, d)), rng.uniform(size=(N, d))
+            H, HU = rng.integers(0, 3, size=(n, m)), rng.integers(0, 3, size=(N, m))
+            t, tU = rng.uniform(size=n), rng.uniform(size=N)
+            tracemalloc.start()
+            try:
+                gp._pairwise(X, H, t, U, HU, tU)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # A builder with an n x N x d temporary needs about (d + 1) n N doubles at d=7.
+        assert peaks[1] <= peaks[0] + 0.1 * n * N * 8
+
+
 class TestPosterior:
     def test_empty_model_prior(self):
         theta = GPHyperparams()
@@ -182,6 +266,27 @@ class TestPosterior:
         for got, want in zip(moved.posterior(Xq, Hq, 31.0), fresh.posterior(Xq, Hq, 31.0)):
             assert got.tobytes() == want.tobytes()
         assert model.theta == theta_a
+
+    @pytest.mark.parametrize("m, Hq", [(1, None), (2, None), (2, np.zeros((5, 1), dtype=int)),
+                                       (1, np.zeros((5, 2), dtype=int))])
+    def test_mixed_model_rejects_codes_of_another_width(self, m, Hq):
+        rng = np.random.default_rng(8)
+        X, H, t, y = random_dataset(rng, n=6, m=m)
+        model = GPModel(X, H, t, y, GPHyperparams())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # not a NaN with a RuntimeWarning
+            with pytest.raises(ValueError, match=f"{m} categorical column"):
+                model.posterior(rng.uniform(size=(5, 2)), Hq, 31.0)
+
+    def test_continuous_model_ignores_codes(self):
+        rng = np.random.default_rng(9)
+        X, H, t, y = random_dataset(rng, n=6, m=0)
+        model = GPModel(X, H, t, y, GPHyperparams())
+        Xq = rng.uniform(size=(5, 2))
+        want = model.posterior(Xq, None, 31.0)
+        for Hq in (np.zeros((5, 1), dtype=int), np.zeros((5, 3), dtype=int)):
+            for got, expected in zip(model.posterior(Xq, Hq, 31.0), want):
+                assert got.tobytes() == expected.tobytes()
 
     def test_with_observation_appends(self):
         rng = np.random.default_rng(5)
