@@ -7,7 +7,11 @@ by MAP (uniform prior over a bound box, so effectively bounded MLE) with
 L-BFGS in sigmoid coordinates, theta = lo + (hi - lo) sigma(z), on analytic
 gradients. An ascent stops at a stationary point: when the gradient's inf-norm
 in z falls below 1e-5, or when an iteration gains less than about 2e-9 of the
-LML (scipy's default factr), else after max_iter iterations.
+LML (scipy's default factr), else after max_iter iterations. Bounds are kept
+active as in L-BFGS-B: a parameter within 1e-6 of its range from a bound whose
+gradient points out of the box is held on that bound, z = +-37, and left out of
+the step, the curvature pairs and the gradient test until its gradient points
+inward; every line-search candidate's z is clamped to [-37, 37].
 
 The likelihood and its gradient share one factorization (GPML section 5.4.1):
 `_factor` returns the LML together with a `_Factor` (the LAPACK `dpotrf`
@@ -499,11 +503,13 @@ def grad_log_marginal(model: GPModel) -> np.ndarray:
 
 class _AscentReport(NamedTuple):
     """What one ascent did: the LML it ended at, its iterations (one gradient
-    each), and whether it stopped at a stationary point rather than at max_iter
-    or on a failed line search."""
+    each), its LML evaluations (one Cholesky each, the start's included), and
+    whether it stopped at a stationary point rather than at max_iter or on a
+    failed line search."""
 
     lml: float
     iterations: int
+    evaluations: int
     converged: bool
 
 
@@ -516,8 +522,14 @@ _MEMORY = 7
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 30
 # A start on or near a bound is moved this fraction of its range inside the box,
-# so that its z is finite.
+# so that its z is finite. _EDGE_Z is logit(1 - _EDGE) as `_ascend` computes it
+# for a start on the upper bound; a start on the lower bound lies 3e-11 further out.
 _EDGE = 1e-6
+_EDGE_Z = float(np.log(1.0 - _EDGE) - np.log1p(_EDGE - 1.0))
+# The bound in z: sigma(-_Z) = (1 + tanh(-_Z/2))/2 is half the machine epsilon,
+# the smallest positive value it takes, so a parameter at z = -_Z lies 5.6e-17 of
+# its range from its bound while dtheta/dz, and so the gradient's sign, stays nonzero.
+_Z = 37.0
 
 
 def _ascend(theta0, bounds, d2, match, dt, y, max_iter=100):
@@ -529,8 +541,16 @@ def _ascend(theta0, bounds, d2, match, dt, y, max_iter=100):
     point's gradient is computed, from the factor its LML evaluation kept, so
     each LML evaluation is one Cholesky and the gradient adds none. A candidate
     equal to the point it would replace, or to the one just rejected, is not
-    factored. Returns (theta, _AscentReport), or (None, report) when the start
-    cannot be factored.
+    factored.
+
+    Active bounds, as L-BFGS-B treats them (Byrd, Lu, Nocedal & Zhu 1995): a
+    coordinate whose z is at or past the edge, |z| >= _EDGE_Z, and whose
+    gradient points out of the box is held. Every candidate of that step puts
+    it on its bound, z = +-_Z, and it leaves the direction, the curvature pairs
+    and the _GTOL test. It is released as soon as its gradient points inward.
+    Every candidate's z is clamped to [-_Z, _Z], so none lies past a bound.
+    Returns (theta, _AscentReport), or (None, report) when the start cannot be
+    factored.
     """
     lo, span = bounds.lower, bounds.upper - bounds.lower
 
@@ -545,23 +565,30 @@ def _ascend(theta0, bounds, d2, match, dt, y, max_iter=100):
     try:
         f, factor, alpha = _factor(theta, d2, match, dt, y)
     except np.linalg.LinAlgError:
-        return None, _AscentReport(-math.inf, 0, False)
+        return None, _AscentReport(-math.inf, 0, 1, False)
+    evaluations = 1
     g = _grad(theta, d2, match, dt, factor, alpha) * dtheta
     pairs = collections.deque(maxlen=_MEMORY)  # (s, y, 1 / s.y) with y the drop in gradient
     for it in range(max_iter):
-        if np.max(np.abs(g)) < _GTOL:
-            return theta, _AscentReport(f, it, True)
-        d = _two_loop(g, pairs)
-        slope = float(g @ d)
+        held = (np.abs(z) >= _EDGE_Z) & (z * g > 0.0)
+        g_free = np.where(held, 0.0, g)
+        if np.max(np.abs(g_free)) < _GTOL:
+            return theta, _AscentReport(f, it, evaluations, True)
+        d = _two_loop(g_free, pairs)
+        d[held] = 0.0
+        slope = float(g_free @ d)
         if not pairs:
             d /= math.sqrt(slope)  # a first step of unit length, as L-BFGS-B takes
-            slope = float(g @ d)
+            slope = float(g_free @ d)
+        base = np.where(held, np.copysign(_Z, z), z)
         step, rejected = 1.0, None
         for _ in range(_MAX_BACKTRACKS):
-            cand, dcand = coords(z + step * d)
+            zc = np.clip(base + step * d, -_Z, _Z)
+            cand, dcand = coords(zc)
             if np.array_equal(cand, theta):
-                return theta, _AscentReport(f, it, False)
+                return theta, _AscentReport(f, it, evaluations, False)
             if not np.array_equal(cand, rejected):
+                evaluations += 1
                 try:
                     fc, factorc, alphac = _factor(cand, d2, match, dt, y)
                 except np.linalg.LinAlgError:
@@ -573,17 +600,17 @@ def _ascend(theta0, bounds, d2, match, dt, y, max_iter=100):
             shortfall = f + slope * step - fc
             step = min(max(0.5 * slope * step * step / shortfall, 0.1 * step), 0.5 * step)
         else:
-            return theta, _AscentReport(f, it, False)
+            return theta, _AscentReport(f, it, evaluations, False)
         gc = _grad(cand, d2, match, dt, factorc, alphac) * dcand
-        s_vec, y_vec = step * d, g - gc
+        s_vec, y_vec = zc - base, np.where(held, 0.0, g - gc)
         sy = float(s_vec @ y_vec)
         if sy > 1e-10 * float(y_vec @ y_vec):  # keep only curvature that is positive
             pairs.append((s_vec, y_vec, 1.0 / sy))
         flat = fc - f <= _FTOL * max(abs(fc), abs(f), 1.0)
-        z, theta, f, g = z + s_vec, cand, fc, gc
+        z, theta, f, g = zc, cand, fc, gc
         if flat:
-            return theta, _AscentReport(f, it + 1, True)
-    return theta, _AscentReport(f, max_iter, False)
+            return theta, _AscentReport(f, it + 1, evaluations, True)
+    return theta, _AscentReport(f, max_iter, evaluations, False)
 
 
 def _two_loop(g: np.ndarray, pairs) -> np.ndarray:

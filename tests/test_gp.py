@@ -676,12 +676,13 @@ class TestFitQuality:
         for name in at_lower:
             i = PARAM_NAMES.index(name)
             assert oracle_theta[i] == bounds.lower[i]
-            assert theta[i] - bounds.lower[i] <= 1e-6 * (bounds.upper[i] - bounds.lower[i])
+            # Held on its bound: z = -37, where sigma(z) is 5.6e-17.
+            assert theta[i] - bounds.lower[i] <= 1e-16 * (bounds.upper[i] - bounds.lower[i])
 
     def test_fit_warns_nothing(self):
-        # On noiseless sin/cos data, as the sincos objective gives them, the
-        # ascent drives z of a parameter that saturates into the thousands:
-        # sigma(z) must not overflow there.
+        # On noiseless sin/cos data, as the sincos objective gives them,
+        # several parameters end on a bound, at z = +-37, where dtheta/dz is
+        # 5.6e-17 of the range: nothing may overflow or underflow there.
         rng = np.random.default_rng(0)
         X = rng.uniform(size=(20, 1))
         H = rng.integers(0, 2, size=(20, 1))
@@ -692,6 +693,59 @@ class TestFitQuality:
             warnings.simplefilter("error")
             fitted = fit(GPModel(X, H, t, y, GPHyperparams()), GPHyperparams(), restarts=1, seed=0)
         assert np.all(np.isfinite(fitted.as_array()))
+
+
+class TestActiveBounds:
+    """A coordinate at the edge whose gradient points out of the box is held on
+    its bound (L-BFGS-B's active set, in sigmoid coordinates)."""
+
+    @staticmethod
+    def noiseless_ascent(monkeypatch, start=None):
+        """(theta, report, every theta factored) of one ascent on noiseless_dataset(40, seed=6)."""
+        X, t, y = noiseless_dataset(40, seed=6)
+        H = np.zeros((40, 0), dtype=int)
+        d2, match, dt = gp._pairwise(X, H, t, X, H, t)
+        factored = []
+        real = gp._factor
+
+        def logged(theta, *args):
+            factored.append(theta.copy())
+            return real(theta, *args)
+
+        monkeypatch.setattr(gp, "_factor", logged)
+        start = GPHyperparams().as_array() if start is None else start
+        theta, report = gp._ascend(start, HyperparamBounds.default(1), d2, match, dt, y)
+        return theta, report, factored
+
+    def test_noise_ends_on_its_bound_in_fewer_steps(self, monkeypatch):
+        theta, report, factored = self.noiseless_ascent(monkeypatch)
+        bounds = HyperparamBounds.default(1)
+        span = bounds.upper - bounds.lower
+        assert report.converged
+        assert theta[6] - bounds.lower[6] <= 1e-15 * span[6]
+        assert report.evaluations == len(factored)
+        # Without the rule the ascent stepped the noise's z on to -28, where its
+        # gradient fell below the tolerance: 25 iterations, 30 LML evaluations.
+        assert (report.iterations, report.evaluations) == (15, 18)
+
+    def test_no_theta_factored_from_past_the_bound(self, monkeypatch):
+        _, _, factored = self.noiseless_ascent(monkeypatch)
+        bounds = HyperparamBounds.default(1)
+        span = bounds.upper - bounds.lower
+        lowest = bounds.lower + span * (0.5 * (1.0 + np.tanh(-0.5 * gp._Z)))
+        highest = bounds.lower + span * (0.5 * (1.0 + np.tanh(0.5 * gp._Z)))
+        assert all(np.all((lowest <= th) & (th <= highest)) for th in factored)
+
+    def test_start_on_a_bound_with_an_inward_gradient_moves_inside(self, monkeypatch):
+        X, t, y = noiseless_dataset(40, seed=6)
+        bounds = HyperparamBounds.default(1)
+        start = GPHyperparams().as_array()
+        start[2] = bounds.lower[2]  # the lengthscale, whose gradient there points inward
+        model = GPModel(X, np.zeros((40, 0), dtype=int), t, y, GPHyperparams.from_array(start))
+        assert grad_log_marginal(model)[2] > 0.0
+        theta, report, _ = self.noiseless_ascent(monkeypatch, start)
+        assert report.converged
+        assert theta[2] - bounds.lower[2] > 0.1 * (bounds.upper[2] - bounds.lower[2])
 
 
 class TestFitBlasThreads:
