@@ -5,30 +5,34 @@ factor on continuous values and an overlap factor on categorical labels, each
 multiplied by a time-decay factor (1 - eps)^(|t-t'|/2). Hyperparameters are fit
 by MAP (uniform prior over a bound box, so effectively bounded MLE) with
 L-BFGS in sigmoid coordinates, theta = lo + (hi - lo) sigma(z), on analytic
-gradients. An ascent stops at a stationary point: when the gradient's inf-norm
-in z falls below 1e-5, or when an iteration gains less than about 2e-9 of the
-LML (scipy's default factr), else after max_iter iterations. Bounds are kept
-active as in L-BFGS-B: a parameter within 1e-6 of its range from a bound whose
-gradient points out of the box is held on that bound, z = +-37, and left out of
-the step, the curvature pairs and the gradient test until its gradient points
-inward; every line-search candidate's z is clamped to [-37, 37].
+gradients; `fit` runs one ascent from the given init and one from a random
+start, and keeps the better. An ascent stops at a stationary point: when the
+gradient's inf-norm in z falls below 1e-5, or when an iteration gains less
+than about 2e-9 of the LML (scipy's default factr), else after 100
+iterations. Bounds are kept active as in L-BFGS-B: a parameter within 1e-6
+of its range from a bound whose gradient points out of the box is held on that
+bound, z = +-37, and left out of the step, the curvature pairs and the gradient
+test until its gradient points inward; every line-search candidate's z is
+clamped to [-37, 37].
 
 The likelihood and its gradient share one factorization (GPML section 5.4.1):
 `_factor` returns the LML together with a `_Factor` (the LAPACK `dpotrf`
-Cholesky factor L and the kernel parts K was built from) and alpha = K^-1 y.
+Cholesky factor L, the jitter it needed and the kernel parts K was built from)
+and alpha = K^-1 y. A `GPModel` keeps that result as its one factorization,
+which its posterior, `log_marginal` and `grad_log_marginal` all read.
 `_grad` takes K^-1 from `dpotri` on L, forms W = alpha alpha^T - K^-1 once,
 and gets each gradient entry as one contraction of W against the kept parts
 and the pairwise d2 and dt (GPML eq. 5.9); no dK/dtheta matrix is built. The
 ascent's line search evaluates only the LML at a candidate and takes the
 gradient only at the point it accepts, from that point's factor and alpha, so
 it factors K once per LML evaluation and never again for the gradient.
-`_chol_with_jitter` is the module's one Cholesky, for the fit and the
-posterior alike. The fit runs on one OpenBLAS thread (see `_blas`): its
-matrices are at most SLIDING_WINDOW wide and factored one after another,
-where a thread pool only adds hand-off cost. The posterior's Cholesky runs on one thread too, because OpenBLAS
-rounds a factorization of 128 or more rows differently on different thread
-counts; so no result depends on the thread count. The posterior's products
-over many candidates keep their threads.
+`_chol_with_jitter` is the module's one Cholesky, called only by `_factor`,
+for the fit and the posterior alike. The fit runs on one OpenBLAS thread (see
+`_blas`): its matrices are at most SLIDING_WINDOW wide and factored one after
+another, where a thread pool only adds hand-off cost. A model's factorization
+runs on one thread too, because OpenBLAS rounds a factorization of 128 or more
+rows differently on different thread counts; so no result depends on the
+thread count. The posterior's products over many candidates keep their threads.
 `GPModel.jitter` reports the diagonal jitter its factor needed (0.0 when none).
 
 Every kernel between two row sets comes from `_pairwise` (d2 and the category
@@ -40,8 +44,8 @@ The batch's one candidate set U is solved once per category assignment,
 V = L^-1 K(rows, U); when a pick reads an assignment again, its V gains one
 row per hallucination since, an O(nN) step, not a new query of U. When the
 model's factor needed jitter, or an appended pivot is not positive, each
-append from then on re-factors all rows; that factor replaces the bordered
-one and the kept V are dropped.
+append from then on re-factors all rows as one `GPModel`; that factor replaces
+the bordered one and the kept V are dropped.
 
 Continuous inputs are expected pre-scaled to the unit hypercube. Models with no
 categorical columns use only the continuous-time factor (sigma2, eps2, lambda
@@ -144,8 +148,6 @@ def _pairwise(X1, H1, t1, X2, H2, t2):
 
 def _time_factor(eps: float, dt) -> np.ndarray:
     # (1 - eps)^(dt/2) via exp/log1p; cheaper than array power and exact at eps=0.
-    if eps == 0.0:
-        return np.ones_like(dt)
     return np.exp(math.log1p(-eps) * (0.5 * dt))
 
 
@@ -169,10 +171,7 @@ def _kernel_matrix(theta: np.ndarray, d2, match, dt):
 
 
 def _prior_variance(theta: np.ndarray, mixed: bool) -> float:
-    _, _, _, sigma1, sigma2, lam, _ = theta
-    if not mixed:
-        return sigma1
-    return (1.0 - lam) * (sigma1 + sigma2) + lam * sigma1 * sigma2
+    return _combine(theta[5], theta[3], theta[4] if mixed else None)
 
 
 def _chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
@@ -245,33 +244,26 @@ class GPModel:
         return self.H.shape[1] > 0
 
     @functools.cached_property
-    def _factorization(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(L, alpha, jitter) of K + noise*I, factored on first use."""
-        theta = self.theta.as_array()
-        K = _kernel_matrix(theta, self._d2, self._match, self._dt)
-        K.flat[:: self.n + 1] += theta[6]
+    def _factorization(self) -> tuple[float, _Factor, np.ndarray]:
+        """`_factor`'s (LML, _Factor, alpha) of K + noise*I, factored on first use."""
         # One thread, as in `fit`: OpenBLAS rounds a Cholesky of 128 or
         # more rows differently on different thread counts, and seed
         # workers run on one.
         with _blas.single_thread():
-            L, jitter = _chol_with_jitter(K)
-            # dpotrs refuses a 0-row right-hand side; batch acquisition
-            # factors an empty model too.
-            alpha = lapack.dpotrs(L, self.y, lower=1)[0] if self.n else self.y
-        return L, alpha, jitter
+            return _factor(self.theta.as_array(), self._d2, self._match, self._dt, self.y)
 
     @property
     def chol(self) -> np.ndarray:
-        return self._factorization[0]
+        return self._factorization[1].L
 
     @property
     def alpha_vec(self) -> np.ndarray:
-        return self._factorization[1]
+        return self._factorization[2]
 
     @property
     def jitter(self) -> float:
         """Diagonal jitter the Cholesky factor needed (0.0 when none)."""
-        return self._factorization[2]
+        return self._factorization[1].jitter
 
     def posterior(self, Xq, Hq, tq):
         """Predictive mean and variance at query points (vectorized).
@@ -341,10 +333,11 @@ class _BatchPosterior:
     that no later pick asks for is never extended.
 
     When the model's factor needed jitter, or a new pivot d^2 is not positive,
-    `append` re-factors all rows, as a full model would, and from then on
-    every append does so: the re-factored factor replaces L and the kept sets,
-    solved against the old one, are dropped. Queries read L either way, and
-    every kernel here comes from `_pairwise`, with h and tq as one row and round.
+    `append` re-factors all rows as one `GPModel` with zero targets (L does not
+    depend on them), and from then on every append does so: that factor
+    replaces L and the kept sets, solved against the old one, are dropped.
+    Queries read L either way, and every kernel here comes from `_pairwise`,
+    with h and tq as one row and round.
     """
 
     def __init__(self, model: GPModel, U: np.ndarray, tq: float):
@@ -354,8 +347,8 @@ class _BatchPosterior:
         self._prior = _prior_variance(self._theta, model.mixed)
         self._X, self._H, self._t = model.X, model.H, model.t
         self._L = model.chol
-        # The model whose factor is _L once appends re-factor instead of bordering.
-        self._refactored = model if model.jitter > 0.0 else None
+        # Once set, every append re-factors all rows instead of bordering L.
+        self._refactor = model.jitter > 0.0
         self._U, self._tq = U, float(tq)
         self._sets: dict = {}  # category codes -> _CandidateSet
 
@@ -371,9 +364,7 @@ class _BatchPosterior:
         self._X = np.vstack([self._X, x])
         self._H = np.vstack([self._H, hrow])
         self._t = np.append(self._t, float(t))
-        if self._refactored is not None:
-            self._refactored = self._refactored.with_observation(x, hrow, t, 0.0)
-        else:
+        if not self._refactor:
             k = _kernel_matrix(self._theta, *_pairwise(self._X, self._H, self._t, x, hrow, t))[:, 0]
             c = _solve_lower(self._L, k[:-1])
             pivot = k[-1] + self._theta[6] - c @ c
@@ -384,10 +375,10 @@ class _BatchPosterior:
                 L[-1, -1] = math.sqrt(pivot)
                 self._L = L
                 return
-            y = np.append(self.model.y, np.zeros(len(self._t) - self.model.n))
-            self._refactored = GPModel(self._X, self._H, self._t, y, self.model.theta,
-                                       self.model.bounds)
-        self._L = self._refactored.chol
+            self._refactor = True
+        # L does not depend on the targets, so zeros stand in for them.
+        self._L = GPModel(self._X, self._H, self._t, np.zeros(len(self._t)), self.model.theta,
+                          self.model.bounds).chol
         self._sets.clear()  # their V were solved against the replaced factor
 
     def candidates(self, h):
@@ -420,35 +411,39 @@ class _BatchPosterior:
 # ---------------------------------------------------------------------------
 
 class _Factor(NamedTuple):
-    """Cholesky factor of K + noise*I and the kernel parts K was built from."""
+    """Cholesky factor of K + noise*I, the diagonal jitter it needed (0.0 when
+    none) and the kernel parts K was built from."""
 
     L: np.ndarray
+    jitter: float
     kxt: np.ndarray
     kht: np.ndarray | None
 
 
 def _factor(theta: np.ndarray, d2, match, dt, y: np.ndarray):
-    """(Gaussian log-density of y, _Factor, alpha) from one Cholesky of K + noise*I."""
+    """(Gaussian log-density of y, _Factor, alpha) from one Cholesky of K + noise*I.
+
+    With no rows the factor is 0 x 0, alpha is y and the log-density 0.0."""
     n = len(y)
     kxt, kht = _kernel_parts(theta, d2, match, dt)
     # The parts are kept for the gradient; a continuous-only K is kxt itself,
     # so the noise goes on a copy.
     K = kxt.copy() if kht is None else _combine(theta[5], kxt, kht)
     K.flat[:: n + 1] += theta[6]
-    L, _ = _chol_with_jitter(K)
-    alpha = lapack.dpotrs(L, y, lower=1)[0]
+    L, jitter = _chol_with_jitter(K)
+    # dpotrs refuses a 0-row right-hand side; batch acquisition factors an empty model too.
+    alpha = lapack.dpotrs(L, y, lower=1)[0] if n else y
     lml = float(
         -0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2 * math.pi)
     )
-    return lml, _Factor(L, kxt, kht), alpha
+    return lml, _Factor(L, jitter, kxt, kht), alpha
 
 
 def log_marginal(model: GPModel) -> float:
     """MAP objective: Gaussian log-density of y plus the (constant) log prior."""
     if model.n == 0:
         raise ValueError("log marginal requires a nonempty dataset")
-    lml, _, _ = _factor(model.theta.as_array(), model._d2, model._match, model._dt, model.y)
-    return lml + model.bounds.log_prior()
+    return model._factorization[0] + model.bounds.log_prior()
 
 
 def _grad(theta: np.ndarray, d2, match, dt, factor: _Factor, alpha: np.ndarray) -> np.ndarray:
@@ -459,7 +454,7 @@ def _grad(theta: np.ndarray, d2, match, dt, factor: _Factor, alpha: np.ndarray) 
     On a continuous-only model the eps2, sigma2 and lam entries stay 0.0.
     """
     eps1, eps2, lengthscale, sigma1, sigma2, lam, _ = theta
-    L, kxt, kht = factor
+    L, _, kxt, kht = factor
     lower, info = lapack.dpotri(L, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError("dpotri failed on a Cholesky factor")
@@ -496,9 +491,8 @@ def grad_log_marginal(model: GPModel) -> np.ndarray:
     """
     if model.n == 0:
         raise ValueError("gradient requires a nonempty dataset")
-    theta = model.theta.as_array()
-    _, factor, alpha = _factor(theta, model._d2, model._match, model._dt, model.y)
-    return _grad(theta, model._d2, model._match, model._dt, factor, alpha)
+    _, factor, alpha = model._factorization
+    return _grad(model.theta.as_array(), model._d2, model._match, model._dt, factor, alpha)
 
 
 class _AscentReport(NamedTuple):
@@ -629,47 +623,41 @@ def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
-def fit(
-    data_or_model: GPModel,
-    init: GPHyperparams,
-    restarts: int = 3,
-    seed: int = 0,
-    max_iter: int = 100,
-) -> GPHyperparams:
-    """MAP hyperparameter fit on a model's data: L-BFGS ascent from init plus random restarts.
+def fit(data_or_model: GPModel, init: GPHyperparams, seed: int = 0) -> GPHyperparams:
+    """MAP hyperparameter fit on a model's data: one L-BFGS ascent from init and
+    one from a random start drawn from the bounds with the given seed.
 
-    Each ascent (`_ascend`) runs at most max_iter iterations and stops earlier
-    at a stationary point (see the module docstring).
+    Each ascent (`_ascend`) stops at a stationary point or after 100 iterations
+    (see the module docstring). The random start is kept although it roughly
+    doubles a fit: a warm start held on a bound can stay trapped there, which
+    the second ascent escapes.
 
     The model supplies the data, the bounds and the pairwise structure; its own
     theta is not read. The parameter is named data_or_model because
     perfbench/tracing.py binds it by that name. With fewer than two
-    observations the init is returned unchanged. Returns the best theta found;
-    if every ascent fails numerically, returns init and logs a warning.
+    observations the init is returned unchanged. Returns the better theta of
+    the two; if both ascents fail numerically, returns init and logs a warning.
     """
     model = data_or_model
     if model.n < 2:
         return init
 
-    rng = np.random.default_rng(seed)
-    bounds = model.bounds
-    starts = [init.as_array()] + [bounds.sample(rng) for _ in range(restarts)]
+    starts = (init.as_array(), model.bounds.sample(np.random.default_rng(seed)))
     best_theta, best_f = None, -math.inf
     with _blas.single_thread():
         for start in starts:
-            theta, report = _ascend(start, bounds, model._d2, model._match, model._dt,
-                                    model.y, max_iter=max_iter)
+            theta, report = _ascend(start, model.bounds, model._d2, model._match, model._dt,
+                                    model.y)
             if theta is not None and report.lml > best_f:
                 best_theta, best_f = theta, report.lml
     if best_theta is None:
-        logger.warning("all hyperparameter fits failed numerically; keeping init")
+        logger.warning("both hyperparameter ascents failed numerically; keeping init")
         return init
     return GPHyperparams.from_array(best_theta)
 
 
-def windowed(X, H, t, y, window: int = SLIDING_WINDOW):
-    """Keep only the most recent `window` observations (by insertion order)."""
-    n = len(y)
-    if n <= window:
+def windowed(X, H, t, y):
+    """Keep only the most recent SLIDING_WINDOW observations (by insertion order)."""
+    if len(y) <= SLIDING_WINDOW:
         return X, H, t, y
-    return X[-window:], H[-window:], t[-window:], y[-window:]
+    return X[-SLIDING_WINDOW:], H[-SLIDING_WINDOW:], t[-SLIDING_WINDOW:], y[-SLIDING_WINDOW:]

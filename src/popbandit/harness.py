@@ -117,15 +117,16 @@ def run_experiment(
     quantile: float = 0.25,
     seed: int = 0,
     acq_cfg: AcquisitionConfig | None = None,
-    gp_restarts: int = 1,
 ) -> RunRecord:
     """Run the full exploit/explore loop; deterministic given the seed.
 
     Rewards fed back to the bandit are normalized population rewards of the
     agents that ran each selected category, applied one round after selection.
     The random-search baseline resamples every agent every round (so its
-    per-round regret stays at the uniform-draw mean). GP hyperparameters are
-    refitted every `strategies.REFIT_EVERY` rounds.
+    per-round regret stays at the uniform-draw mean). Each GP keeps its
+    hyperparameters in one cache for the whole run: it is refitted every
+    `strategies.REFIT_EVERY` rounds, warm-started from its last θ, by
+    `gp.fit` (one ascent from that θ and one from a random start).
     """
     check_truncation(B, quantile)
     rng = np.random.default_rng(seed)
@@ -142,7 +143,7 @@ def run_experiment(
         bandit_B = min(n_replaced, space.n_arms)
         bandit_state = bd.new_bandit(space.n_arms, bandit_B, T_rounds)
     pending = None  # (selection, replaced agent indices) awaiting realized rewards
-    gp_args = dict(acq_cfg=acq_cfg, restarts=gp_restarts, theta_cache={})
+    gp_args = dict(acq_cfg=acq_cfg, theta_cache={})
 
     cum = 0.0
     for t in range(1, T_rounds + 1):

@@ -100,34 +100,33 @@ def explore_pbt(replaced_agents, parent_configs, space: SearchSpace, rng) -> lis
     return out
 
 
-# Rounds between hyperparameter refits of one GP when a theta cache is given.
+# Rounds between hyperparameter refits of one GP.
 REFIT_EVERY = 5
 
 
-def _model(data: Dataset, mixed: bool, theta_cache, key, t_round, restarts, seed) -> GPModel:
+def _model(data: Dataset, mixed: bool, theta_cache: dict, key, t_round, seed) -> GPModel:
     """GP on the windowed columns of data, with normalized rewards as targets.
 
-    H is kept only for a mixed model. Without a theta cache every call fits θ
-    from the default. With one, the θ last fitted under key is reused for
-    REFIT_EVERY rounds and then warm-starts the next fit.
+    H is kept only for a mixed model. The θ last fitted under key in theta_cache
+    is reused for REFIT_EVERY rounds and then warm-starts the next fit; with
+    none cached, θ is fitted from the default. A fit stores (θ, t_round) under key.
     """
     H = data.H if mixed else data.H[:, :0]
     X, H, t, y = windowed(data.X, H, data.t, normalize_rewards(data))
-    cached = theta_cache.get(key) if theta_cache is not None else None
+    cached = theta_cache.get(key)
     init = cached[0] if cached is not None else GPHyperparams()
     model = GPModel(X, H, t, y, init)
     if cached is not None and t_round - cached[1] < REFIT_EVERY:
         return model
     # The fit reads the model's pairwise structure, and the fitted model shares it.
-    model = model.with_theta(fit(model, init, restarts=restarts, seed=seed))
-    if theta_cache is not None:
-        theta_cache[key] = (model.theta, t_round)
+    model = model.with_theta(fit(model, init, seed=seed))
+    theta_cache[key] = (model.theta, t_round)
     return model
 
 
 def _explore_pb2(data: Dataset, bandit_state, replaced_agents, space: SearchSpace, t: int,
                  rng, per_arm: bool, acq_cfg: AcquisitionConfig | None = None,
-                 restarts: int = 3, theta_cache: dict | None = None):
+                 theta_cache: dict | None = None):
     """The PB2 step shared by pb2-rand, pb2-mult and pb2-mix.
 
     Categories come first: drawn at random when bandit_state is None, else one
@@ -137,10 +136,14 @@ def _explore_pb2(data: Dataset, bandit_state, replaced_agents, space: SearchSpac
     parameter) draws x at random; any other draws a fit seed, fits a GP and
     acquires one x per agent in the group. A GP over all rows sees the
     categories only when the bandit chose them (pb2-mix); pb2-rand's GP, like
-    a per-arm GP, sees x and t alone. The public pb2 entry points pass
-    acq_cfg, restarts (GP fit restarts) and theta_cache through as keywords.
+    a per-arm GP, sees x and t alone. The public pb2 entry points pass acq_cfg
+    and theta_cache through as keywords. A run passes one theta_cache for all
+    its rounds, so each GP reuses its θ between refits (see `_model`); a call
+    without one starts from an empty cache and so fits every GP it builds.
     Returns (decision, selection or None).
     """
+    if theta_cache is None:
+        theta_cache = {}
     acq_cfg = acq_cfg or AcquisitionConfig()
     B = len(replaced_agents)
     if bandit_state is None:
@@ -164,7 +167,7 @@ def _explore_pb2(data: Dataset, bandit_state, replaced_agents, space: SearchSpac
             for slot in slots:
                 xs[slot] = _sample_x(params, rng)
             continue
-        model = _model(sub, mixed, theta_cache, arm, t, restarts, int(rng.integers(2**31)))
+        model = _model(sub, mixed, theta_cache, arm, t, int(rng.integers(2**31)))
         fixed_h = [np.array(space.encode_h(hs[s]), dtype=int) for s in slots] if mixed else None
         picks = select_batch_continuous(model, params, len(slots), t, acq_cfg, rng,
                                         fixed_h=fixed_h)

@@ -358,17 +358,17 @@ class TestOneCandidateSetPerBatch:
         params = (ContinuousParam("x", 0.0, 1.0),)
         expected = select_by_refactoring(model, params, batch, 20, cfg,
                                          np.random.default_rng(seed))
-        calls = {"with_observation": 0}
-        original = GPModel.with_observation
+        calls = {"chol": 0}
+        original = gp._chol_with_jitter
 
-        def counted(self, *args):
-            calls["with_observation"] += 1
-            return original(self, *args)
+        def counted(*args):
+            calls["chol"] += 1
+            return original(*args)
 
-        monkeypatch.setattr(GPModel, "with_observation", counted)
+        monkeypatch.setattr(gp, "_chol_with_jitter", counted)
         got = select_batch_continuous(model, params, batch, 20, cfg,
                                       np.random.default_rng(seed))
-        assert calls["with_observation"] == batch - 2  # every append after the first
+        assert calls["chol"] == batch - 1  # every append re-factors, the first included
         for x, y in zip(got, expected):
             assert np.max(np.abs(x - y)) <= 1e-10
 

@@ -479,7 +479,7 @@ class TestFit:
         init = GPHyperparams()
         bounds = HyperparamBounds.default(1)
         m_init = GPModel(X, H, t, y, init, bounds)
-        fitted = fit(m_init, init, restarts=2, seed=0)
+        fitted = fit(m_init, init, seed=0)
         m_fit = GPModel(X, H, t, y, fitted, bounds)
         assert log_marginal(m_fit) >= log_marginal(m_init) - 1e-9
 
@@ -488,16 +488,32 @@ class TestFit:
         X, H, t, y = random_dataset(rng, n=10)
         bounds = HyperparamBounds.default(2)
         model = GPModel(X, H, t, y, GPHyperparams(), bounds)
-        fitted = fit(model, GPHyperparams(), restarts=3, seed=1)
+        fitted = fit(model, GPHyperparams(), seed=1)
         arr = fitted.as_array()
         assert np.all(arr >= bounds.lower - 1e-12)
         assert np.all(arr <= bounds.upper + 1e-12)
 
+    def test_ascends_from_init_then_from_one_random_start(self, monkeypatch):
+        starts = []
+        real = gp._ascend
+
+        def spy(theta0, *args, **kwargs):
+            starts.append(np.array(theta0))
+            return real(theta0, *args, **kwargs)
+
+        monkeypatch.setattr(gp, "_ascend", spy)
+        init = GPHyperparams(lengthscale=0.3, noise=0.05)
+        model = GPModel(*sincos_dataset(20, seed=46), init)
+        fit(model, init, seed=5)
+        assert len(starts) == 2
+        assert starts[0].tobytes() == init.as_array().tobytes()
+        assert starts[1].tobytes() == model.bounds.sample(np.random.default_rng(5)).tobytes()
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(32)
         X, H, t, y = random_dataset(rng, n=8)
-        a = fit(GPModel(X, H, t, y, GPHyperparams()), GPHyperparams(), restarts=2, seed=7)
-        b = fit(GPModel(X, H, t, y, GPHyperparams()), GPHyperparams(), restarts=2, seed=7)
+        a = fit(GPModel(X, H, t, y, GPHyperparams()), GPHyperparams(), seed=7)
+        b = fit(GPModel(X, H, t, y, GPHyperparams()), GPHyperparams(), seed=7)
         assert a == b
 
 
@@ -691,7 +707,7 @@ class TestFitQuality:
         y = (y - y.min()) / (y.max() - y.min())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fitted = fit(GPModel(X, H, t, y, GPHyperparams()), GPHyperparams(), restarts=1, seed=0)
+            fitted = fit(GPModel(X, H, t, y, GPHyperparams()), GPHyperparams(), seed=0)
         assert np.all(np.isfinite(fitted.as_array()))
 
 
@@ -762,7 +778,7 @@ class TestFitBlasThreads:
 
         monkeypatch.setattr(gp, "_ascend", spy)
         model = GPModel(*sincos_dataset(20, seed=42), GPHyperparams())
-        fit(model, GPHyperparams(), restarts=1, seed=0, max_iter=5)
+        fit(model, GPHyperparams(), seed=0)
         assert seen and all(counts == [1] * len(before) for counts in seen)
         assert _blas.get_threads() == before
 
@@ -775,8 +791,7 @@ class TestFitBlasThreads:
 
         monkeypatch.setattr(gp, "_ascend", boom)
         with pytest.raises(RuntimeError):
-            fit(GPModel(*sincos_dataset(20, seed=43), GPHyperparams()), GPHyperparams(),
-                restarts=0)
+            fit(GPModel(*sincos_dataset(20, seed=43), GPHyperparams()), GPHyperparams())
         assert _blas.get_threads() == before
 
     def test_same_theta_with_one_or_two_caller_threads(self, restore_blas_threads):
@@ -786,7 +801,7 @@ class TestFitBlasThreads:
         fits = []
         for threads in (1, 2):
             _blas.set_threads(threads)
-            theta = fit(model, GPHyperparams(), restarts=0, seed=0, max_iter=15)
+            theta = fit(model, GPHyperparams(), seed=0)
             fits.append(theta.as_array().tobytes())
         assert fits[0] == fits[1]
 

@@ -121,7 +121,7 @@ class TestRunExperiment:
                                           StrategyKind.PB2_MULT,
                                           StrategyKind.PB2_MIX])
     def test_gp_strategies_run_and_are_deterministic(self, strategy):
-        kwargs = dict(B=4, T_rounds=4, seed=0, acq_cfg=FAST_ACQ, gp_restarts=0)
+        kwargs = dict(B=4, T_rounds=4, seed=0, acq_cfg=FAST_ACQ)
         a = run_experiment(sincos_space(), sincos_objective(), strategy, **kwargs)
         b = run_experiment(sincos_space(), sincos_objective(), strategy, **kwargs)
         assert a.rows == b.rows
@@ -166,7 +166,7 @@ class TestEveryAcceptedSpaceRuns:
         objective = SyntheticObjective("any-space", evaluate, lambda _round: 5.0)
         try:
             record = run_experiment(space, objective, strategy, B, T, quantile=quantile,
-                                    seed=seed, acq_cfg=FAST_ACQ, gp_restarts=0)
+                                    seed=seed, acq_cfg=FAST_ACQ)
         except ValueError:
             assert calls == []
             return

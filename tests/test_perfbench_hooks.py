@@ -35,7 +35,7 @@ def tracing():
 
 def run(kind):
     return harness.run_experiment(harness.sincos_space(), harness.sincos_objective(), kind,
-                                  4, 5, seed=0, acq_cfg=FAST_ACQ, gp_restarts=0)
+                                  4, 5, seed=0, acq_cfg=FAST_ACQ)
 
 
 @pytest.mark.parametrize("kind", list(StrategyKind))

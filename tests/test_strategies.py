@@ -123,7 +123,7 @@ class TestExplorePb2Rand:
         rng = np.random.default_rng(6)
         data = seeded_dataset(space, rng)
         out = explore_pb2_rand(data, [0, 1, 2], space, 7, rng,
-                               acq_cfg=ACQ, restarts=0)
+                               acq_cfg=ACQ)
         assert len(out) == 3
         assert all(validate_config(space, c) for c in out)
 
@@ -133,11 +133,10 @@ class TestFittedModel:
     def test_holds_the_theta_a_fit_on_the_arrays_gives(self, m):
         space = sincos_space()
         data = seeded_dataset(space, np.random.default_rng(8), n_rounds=8)
-        model = strategies._model(data, bool(m), None, None, 9, restarts=1, seed=3)
+        model = strategies._model(data, bool(m), {}, None, 9, seed=3)
         y = strategies.normalize_rewards(data)
         H = data.H[:, :m]
-        expected = fit(GPModel(data.X, H, data.t, y, GPHyperparams()), GPHyperparams(),
-                       restarts=1, seed=3)
+        expected = fit(GPModel(data.X, H, data.t, y, GPHyperparams()), GPHyperparams(), seed=3)
         assert model.theta == expected
         assert model.n == 32 and model.mixed == bool(m)
         assert model.H.tolist() == H.tolist() and model.y.tolist() == y.tolist()
@@ -154,12 +153,39 @@ class TestFittedModel:
 
         monkeypatch.setattr(strategies, "fit", counting_fit)
         cache = {}
-        thetas = [strategies._model(data, False, cache, 0, t, restarts=0, seed=t).theta
+        thetas = [strategies._model(data, False, cache, 0, t, seed=t).theta
                   for t in range(1, 12)]
         # Fits at rounds 1, 6 and 11; the rounds between reuse the last theta.
         assert len(fits) == 3 and fits[0] == GPHyperparams()
         assert fits[1] == thetas[0] and fits[2] == thetas[5]
         assert thetas[1:5] == [thetas[0]] * 4 and cache[0][1] == 11
+
+
+class TestWithoutThetaCache:
+    @pytest.mark.parametrize("explore, bandit", [(explore_pb2_rand, False),
+                                                 (explore_pb2_mult, True),
+                                                 (explore_pb2_mix, True)])
+    def test_each_call_fits_from_the_default(self, monkeypatch, explore, bandit):
+        space = sincos_space()
+        rng = np.random.default_rng(12)
+        data = seeded_dataset(space, rng)
+        fits = []
+        real = strategies.fit
+
+        def counting_fit(model, init, **kwargs):
+            fits.append(init)
+            return real(model, init, **kwargs)
+
+        monkeypatch.setattr(strategies, "fit", counting_fit)
+        args = (bd.new_bandit(2, 2, 20),) if bandit else ()
+        per_call = []
+        for t in (7, 8):
+            before = len(fits)
+            explore(data, *args, [0, 1], space, t, rng, acq_cfg=ACQ)
+            per_call.append(len(fits) - before)
+        # Round 8 is within REFIT_EVERY of round 7, yet without a cache it fits again.
+        assert per_call[0] >= 1 and per_call[1] >= 1
+        assert fits == [GPHyperparams()] * len(fits)
 
 
 class TestExplorePb2Mult:
@@ -169,7 +195,7 @@ class TestExplorePb2Mult:
         data = seeded_dataset(space, rng)
         state = bd.new_bandit(space.n_arms, 2, 20)
         decision, selection = explore_pb2_mult(
-            data, state, [0, 1], space, 7, rng, acq_cfg=ACQ, restarts=0)
+            data, state, [0, 1], space, 7, rng, acq_cfg=ACQ)
         assert len(decision) == 2
         assert len(selection.arm_of_agent) == 2
         assignments = space.categorical_assignments()
@@ -187,7 +213,7 @@ class TestExplorePb2Mult:
             data.append(t, Config((0.3,), ("sin",)), math.sin(0.3))
         state = bd.new_bandit(2, 2, 20)
         decision, _ = explore_pb2_mult(data, state, [0, 1], space, 5, rng,
-                                       acq_cfg=ACQ, restarts=0)
+                                       acq_cfg=ACQ)
         assert all(validate_config(space, c) for c in decision)
 
     def test_cycles_when_more_agents_than_plays(self):
@@ -196,7 +222,7 @@ class TestExplorePb2Mult:
         data = seeded_dataset(space, rng)
         state = bd.new_bandit(2, 1, 20)
         decision, selection = explore_pb2_mult(
-            data, state, [0, 1, 2], space, 7, rng, acq_cfg=ACQ, restarts=0)
+            data, state, [0, 1, 2], space, 7, rng, acq_cfg=ACQ)
         assert len(set(selection.arm_of_agent)) == 1  # single play reused
         assert len(decision) == 3
 
@@ -208,7 +234,7 @@ class TestExplorePb2Mix:
         data = seeded_dataset(space, rng)
         state = bd.new_bandit(2, 2, 20)
         decision, selection = explore_pb2_mix(
-            data, state, [0, 1], space, 7, rng, acq_cfg=ACQ, restarts=0)
+            data, state, [0, 1], space, 7, rng, acq_cfg=ACQ)
         assignments = space.categorical_assignments()
         for cfg, arm in zip(decision, selection.arm_of_agent):
             assert cfg.h == assignments[arm]

@@ -9,7 +9,10 @@
 #     runs hallucinated appends and kept candidate sets, which B=4 (one pick
 #     per batch) does not;
 #   - `run` of pb2-mix and pb2-mult on a space with 2 continuous and 2
-#     categorical parameters (B=12, T=25).
+#     categorical parameters (B=12, T=25);
+#   - `gradcheck`, the one command that prints `gp.log_marginal` and
+#     `gp.grad_log_marginal` (through their finite-difference errors);
+#   - `bandit-sim --C 4 --B 2 --T 200 --V 1 --seeds 0 1 2`, with its CSV.
 # Then compares every CSV and every command's stdout with `diff -r`; exits
 # non-zero on any difference. Writes only into a temporary directory.
 set -euo pipefail
@@ -58,6 +61,13 @@ outputs() {
             (cd "$tmp" && POPBANDIT_THREADS=$threads PYTHONPATH=$src \
                 python3 -m popbandit.cli "$command" "$config" --out "$dir" > "$dir/stdout.txt")
         done
+        dir=$tmp/run/threads$threads
+        mkdir -p "$dir/gradcheck" "$dir/bandit-sim"
+        (cd "$tmp" && POPBANDIT_THREADS=$threads PYTHONPATH=$src \
+            python3 -m popbandit.cli gradcheck > "$dir/gradcheck/stdout.txt")
+        (cd "$tmp" && POPBANDIT_THREADS=$threads PYTHONPATH=$src \
+            python3 -m popbandit.cli bandit-sim --C 4 --B 2 --T 200 --V 1 --seeds 0 1 2 \
+                --out "$dir/bandit-sim/sim.csv" > "$dir/bandit-sim/stdout.txt")
     done
     mkdir -p "$tmp/out"
     mv "$tmp/run" "$tmp/out/$name"
