@@ -6,16 +6,19 @@ Subcommands:
   gradcheck   finite-difference verification of the analytic kernel gradients
   bandit-sim  standalone bandit regret diagnostics on a Bernoulli instance
 
-Configs are JSON, outputs are CSV. Floats are printed with 10 significant
-digits. Files are written to a temp path and renamed on success, so a failed
-run leaves no partial output. POPBANDIT_THREADS caps parallel seeds; each
-seed worker runs on one BLAS thread.
+Configs are JSON, outputs are CSV. This module owns the config schema: each
+JSON object of a config is checked against its table by `_checked` before any
+seed runs. Floats are printed with 10 significant digits. Files are written
+to a temp path and renamed on success, so a failed run leaves no partial
+output. POPBANDIT_THREADS caps parallel seeds; each seed worker runs on one
+BLAS thread.
 """
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -34,7 +37,7 @@ from .harness import (
     bernoulli_swap_table,
     run_experiment,
 )
-from .space import SearchSpace
+from .space import CategoricalParam, ContinuousParam, SearchSpace
 from .strategies import BANDIT_STRATEGIES, StrategyKind, check_truncation
 
 EXIT_OK = 0
@@ -86,7 +89,9 @@ def _max_workers(n_seeds: int) -> int:
 
 
 _REQUIRED = object()
+_OPTIONAL = object()
 _STRATEGY_NAMES = [kind.value for kind in StrategyKind]
+_JSON_TYPES = (dict, list, str, int, float, bool, type(None))  # every type json.load gives
 
 
 def _distinct_list_of(valid):
@@ -94,9 +99,10 @@ def _distinct_list_of(valid):
     return lambda items: bool(items) and all(map(valid, items)) and len(set(items)) == len(items)
 
 
-# One row per top-level config field: its exact JSON types (a bool is not an
-# int), what a value must be, its default (_REQUIRED if none) and the test
-# that a value of the right type must also pass (None if none).
+# The schema of a config: one table per kind of JSON object, one row per key.
+# A row holds the key's exact JSON types (a bool is not an int), what a value
+# must be, its default (_REQUIRED if none; _OPTIONAL leaves the key absent)
+# and the test that a value of the right type must also pass (None if none).
 _FIELDS = {
     "space": ((dict,), "an object", _REQUIRED, None),
     "objective": ((str,), f"one of {sorted(OBJECTIVES)}", _REQUIRED, OBJECTIVES.__contains__),
@@ -108,10 +114,56 @@ _FIELDS = {
     "quantile": ((int, float), "a finite number", 0.25, math.isfinite),
     "acquisition": ((dict,), "an object", {}, None),
     "output": ((str,), "a directory path string", ".", lambda path: "\0" not in path),
-    "strategy": ((str,), f"one of {_STRATEGY_NAMES}", _REQUIRED, _STRATEGY_NAMES.__contains__),
+    # Each is required by its own command, `run` or `compare`.
+    "strategy": ((str,), f"one of {_STRATEGY_NAMES}", _OPTIONAL, _STRATEGY_NAMES.__contains__),
     "strategies": ((list,), f"a nonempty list of distinct names from {_STRATEGY_NAMES}",
-                   _REQUIRED, _distinct_list_of(_STRATEGY_NAMES.__contains__)),
+                   _OPTIONAL, _distinct_list_of(_STRATEGY_NAMES.__contains__)),
 }
+_SPACE = dict.fromkeys(("continuous", "categorical"), ((list,), "a list", [], None))
+_NAME = ((str,), "a string", _REQUIRED, None)
+_CONTINUOUS = dict(name=_NAME, lower=((int, float), "a number", _REQUIRED, None),
+                   upper=((int, float), "a number", _REQUIRED, None))
+_CATEGORICAL = dict(name=_NAME, choices=((list,), "a list", _REQUIRED, None))
+# AcquisitionConfig checks the values, for library callers too.
+_ACQUISITION = {field.name: (_JSON_TYPES, "a JSON value", _OPTIONAL, None)
+                for field in dataclasses.fields(AcquisitionConfig)}
+
+
+def _checked(doc, table: dict, what: str) -> dict:
+    """doc, a JSON object checked against table, with the table's defaults filled in.
+
+    A ValueError names doc `what`, and a value "{what} {key}" (in a config, its key alone).
+    """
+    if type(doc) is not dict:
+        raise ValueError(f"{what} must be an object, got {doc!r}")
+    unknown = sorted(set(doc) - set(table))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}; {what} takes {sorted(table)}")
+    checked = {}
+    for key, (types, must_be, default, test) in table.items():
+        if key in doc:
+            value = checked[key] = doc[key]
+            if type(value) not in types or (test and not test(value)):
+                name = key if what == "config" else f"{what} {key}"
+                raise ValueError(f"{name} must be {must_be}, got {value!r}")
+        elif default is _REQUIRED:
+            raise ValueError(f"{what} missing key {key!r}")
+        elif default is not _OPTIONAL:
+            checked[key] = default
+    return checked
+
+
+def _space(doc) -> SearchSpace:
+    """The search space that a config's `space` object describes."""
+    doc = _checked(doc, _SPACE, "space")
+    continuous = [_checked(d, _CONTINUOUS, "continuous parameter") for d in doc["continuous"]]
+    categorical = [_checked(d, _CATEGORICAL, "categorical parameter") for d in doc["categorical"]]
+    for d in categorical:
+        if not all(type(label) is str for label in d["choices"]):
+            raise ValueError(f"choices of {d['name']!r} must be strings, got {d['choices']!r}")
+    return SearchSpace(
+        [ContinuousParam(d["name"], float(d["lower"]), float(d["upper"])) for d in continuous],
+        [CategoricalParam(**d) for d in categorical])
 
 
 def _load_config(path: str, overrides: dict | None, strategy_field: str):
@@ -130,32 +182,20 @@ def _load_config(path: str, overrides: dict | None, strategy_field: str):
         if type(cfg) is not dict:
             raise ValueError(f"a config must be a JSON object, got {type(cfg).__name__}")
         cfg.update({k: v for k, v in (overrides or {}).items() if v is not None})
-        unknown = sorted(set(cfg) - set(_FIELDS))
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}")
-        for name, (types, must_be, default, test) in _FIELDS.items():
-            if name not in cfg and default is _REQUIRED:
-                if name in ("strategy", "strategies") and name != strategy_field:
-                    continue  # the other command's field, checked only when present
-                raise ValueError(f"config missing required field {name!r}")
-            value = cfg.setdefault(name, default)
-            if type(value) not in types or (test and not test(value)):
-                raise ValueError(f"{name} must be {must_be}, got {value!r}")
+        types, must_be, _, test = _FIELDS[strategy_field]
+        cfg = _checked(cfg, {**_FIELDS, strategy_field: (types, must_be, _REQUIRED, test)},
+                       "config")
         if cfg["T_rounds"] < 1:
             raise ValueError(f"T_rounds must be >= 1, got {cfg['T_rounds']}")
         check_truncation(cfg["B"], cfg["quantile"])
-        cfg["acquisition"] = AcquisitionConfig(**cfg["acquisition"])
-        objective, args = cfg["objective"], cfg["objective_args"]
-        takes = OBJECTIVE_ARGS[objective]
-        for key, value in args.items():
-            if key not in takes:
-                raise ValueError(f"unknown objective_args key {key!r} for {objective!r}, "
-                                 f"which takes {sorted(takes)}")
-            if type(value) is not takes[key]:
-                raise ValueError(f"objective_args {key} must be of type "
-                                 f"{takes[key].__name__}, got {value!r}")
+        cfg["acquisition"] = AcquisitionConfig(
+            **_checked(cfg["acquisition"], _ACQUISITION, "acquisition"))
+        objective = cfg["objective"]
+        takes = {key: ((typ,), f"of type {typ.__name__}", _OPTIONAL, None)
+                 for key, typ in OBJECTIVE_ARGS[objective].items()}
+        args = _checked(cfg["objective_args"], takes, "objective_args")
         cfg["objective"] = OBJECTIVES[objective](T=cfg["T_rounds"], **args)
-        cfg["space"] = space = SearchSpace.from_dict(cfg["space"])
+        cfg["space"] = space = _space(cfg["space"])
         names = [cfg["strategy"]] if strategy_field == "strategy" else cfg["strategies"]
         for name in names:
             if StrategyKind(name) in BANDIT_STRATEGIES and space.n_arms < 2:
@@ -356,9 +396,10 @@ def cmd_gradcheck(seed: int = 0, n_instances: int = 100) -> int:
 
 def cmd_banditsim(C: int, B: int, T: int, V: int, seeds: list[int],
                   out: str | None = None) -> int:
-    if not (2 <= C and 1 <= B <= C and T >= 1 and 0 <= V < T and seeds and min(seeds) >= 0):
-        print("flag error: require 2<=C, 1<=B<=C, T>=1, 0<=V<T, nonempty non-negative seeds",
-              file=sys.stderr)
+    if not (2 <= C and 1 <= B <= C and T >= 1 and 0 <= V < T
+            and _distinct_list_of(lambda s: s >= 0)(seeds)):
+        print("flag error: require 2<=C, 1<=B<=C, T>=1, 0<=V<T, nonempty distinct non-negative "
+              "seeds", file=sys.stderr)
         return EXIT_CONFIG
     table = bernoulli_swap_table(0.9, 0.1, T, V=V, C=C)
     result = bandit_sim(table, B, seeds)

@@ -89,8 +89,7 @@ OBJECTIVES: dict[str, Callable[..., SyntheticObjective]] = {
     "sincos-switch": lambda V=1, T=50, **_kw: changepoint_objective(V, T),
 }
 
-# The keyword arguments each objective takes from a config's objective_args,
-# with the exact JSON type of each; T always comes from the run's round count.
+# The keyword arguments each objective takes besides the round count T, and their types.
 OBJECTIVE_ARGS: dict[str, dict[str, type]] = {
     "sincos": {},
     "sincos-switch": {"V": int},
@@ -128,7 +127,7 @@ def run_experiment(
     `strategies.REFIT_EVERY` rounds, warm-started from its last θ, by
     `gp.fit` (one ascent from that θ and one from a random start).
     """
-    check_truncation(B, quantile)
+    n_replaced = check_truncation(B, quantile)
     rng = np.random.default_rng(seed)
     acq_cfg = acq_cfg or AcquisitionConfig()
 
@@ -139,7 +138,6 @@ def run_experiment(
     uses_bandit = strategy in BANDIT_STRATEGIES
     bandit_state = None
     if uses_bandit:
-        n_replaced = math.ceil(quantile * B)
         bandit_B = min(n_replaced, space.n_arms)
         bandit_state = bd.new_bandit(space.n_arms, bandit_B, T_rounds)
     pending = None  # (selection, replaced agent indices) awaiting realized rewards

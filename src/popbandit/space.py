@@ -82,50 +82,6 @@ class SearchSpace:
     def encode_h(self, h: tuple[str, ...]) -> tuple[int, ...]:
         return tuple(p.choices.index(label) for p, label in zip(self.categorical, h))
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SearchSpace":
-        """Build a space from its JSON document.
-
-        An unknown or missing key, or a value not of its exact JSON type (a
-        bool is not a number), is a ValueError.
-        """
-        _check_object(doc, {"continuous": _LIST, "categorical": _LIST}, "space", required=False)
-        continuous, categorical = doc.get("continuous", []), doc.get("categorical", [])
-        for d in continuous:
-            _check_object(d, {"name": _STRING, "lower": _NUMBER, "upper": _NUMBER},
-                          "continuous parameter")
-        for d in categorical:
-            _check_object(d, {"name": _STRING, "choices": _LIST}, "categorical parameter")
-            if not all(type(label) is str for label in d["choices"]):
-                raise ValueError(f"choices of {d['name']!r} must be strings, got {d['choices']!r}")
-        return cls(
-            tuple(ContinuousParam(d["name"], float(d["lower"]), float(d["upper"]))
-                  for d in continuous),
-            tuple(CategoricalParam(d["name"], tuple(d["choices"])) for d in categorical),
-        )
-
-
-# A JSON value type: the exact Python types json.load gives it, and its name.
-_STRING = ((str,), "a string")
-_NUMBER = ((int, float), "a number")
-_LIST = ((list,), "a list")
-
-
-def _check_object(doc, fields: dict, what: str, required: bool = True) -> None:
-    """Raise ValueError unless doc is an object whose keys are fields' and whose
-    values have their field's JSON type; with required, every key must be there."""
-    if type(doc) is not dict:
-        raise ValueError(f"{what} must be an object, got {doc!r}")
-    unknown = sorted(set(doc) - set(fields))
-    if unknown:
-        raise ValueError(f"unknown {what} keys {unknown}")
-    for key, (types, name) in fields.items():
-        if key not in doc:
-            if required:
-                raise ValueError(f"{what} missing key {key!r}")
-        elif type(doc[key]) not in types:
-            raise ValueError(f"{what} {key} must be {name}, got {doc[key]!r}")
-
 
 def validate_config(space: SearchSpace, config: Config) -> bool:
     """True iff config is in-bounds and its labels are members of their choices."""

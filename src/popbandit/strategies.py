@@ -212,12 +212,17 @@ def explore_pb2_mix(data: Dataset, bandit_state: bd.BanditState, replaced_agents
     return _explore_pb2(data, bandit_state, replaced_agents, space, t, rng, False, **gp_args)
 
 
-def check_truncation(B: int, quantile: float) -> None:
-    """Raise ValueError unless truncation selection is defined for B and quantile."""
+def check_truncation(B: int, quantile: float) -> int:
+    """How many agents truncation selection replaces, ceil(quantile * B); a
+    ValueError unless that many losers and as many winners do not overlap."""
     if B < 2:
         raise ValueError(f"B must be >= 2, got {B}")
     if not 0.0 < quantile <= 0.5:
         raise ValueError(f"quantile must be in (0, 0.5], got {quantile}")
+    n = math.ceil(quantile * B)
+    if 2 * n > B:
+        raise ValueError(f"quantile {quantile} with B={B}: its {n} losers and {n} winners overlap")
+    return n
 
 
 def exploit_truncation(scores, quantile: float, rng) -> list[tuple[int, int]]:
@@ -227,8 +232,7 @@ def exploit_truncation(scores, quantile: float, rng) -> list[tuple[int, int]]:
     (loser, winner) index pairs for exactly ceil(quantile * B) replacements.
     """
     B = len(scores)
-    check_truncation(B, quantile)
-    n = math.ceil(quantile * B)
+    n = check_truncation(B, quantile)
     order = sorted(range(B), key=lambda i: (-scores[i], i))
     top = order[:n]
     bottom = order[-n:]

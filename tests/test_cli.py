@@ -13,6 +13,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import popbandit
 from popbandit import _blas, cli
+from popbandit.harness import OBJECTIVE_ARGS
+from popbandit.space import ContinuousParam
 
 
 SPACE = {
@@ -213,6 +215,34 @@ class TestConfigRejectedAtParseTime:
     def test_unknown_space_key(self, tmp_path, capsys, space, message):
         self.assert_config_error(tmp_path, capsys, message, space=space)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"quantil": 0.4}, "unknown config keys ['quantil']; config takes ['B', 'T_rounds', "
+         "'acquisition', 'objective', 'objective_args', 'output', 'quantile', 'seeds', 'space', "
+         "'strategies', 'strategy']"),
+        ({"space": {**SPACE, "x": []}}, "unknown space keys ['x']; space takes ['categorical', "
+         "'continuous']"),
+        ({"space": {**SPACE, "continuous": [{**SPACE["continuous"][0], "log": True}]}},
+         "unknown continuous parameter keys ['log']; continuous parameter takes ['lower', "
+         "'name', 'upper']"),
+        ({"space": {**SPACE, "categorical": [{**SPACE["categorical"][0], "weights": [1, 1]}]}},
+         "unknown categorical parameter keys ['weights']; categorical parameter takes "
+         "['choices', 'name']"),
+        # Used to print "AcquisitionConfig.__init__() got an unexpected keyword argument 'foo'".
+        ({"acquisition": {"foo": 1}}, "unknown acquisition keys ['foo']; acquisition takes "
+         "['c1', 'c2', 'n_candidates', 'n_refine_steps']"),
+        ({"objective": "sincos-switch", "objective_args": {"v": 1}},
+         "unknown objective_args keys ['v']; objective_args takes ['V']"),
+        ({"objective_args": {"V": 1}}, "unknown objective_args keys ['V']; objective_args takes []"),
+    ])
+    def test_unknown_key_message_names_the_keys_taken(self, tmp_path, capsys, overrides, message):
+        self.assert_config_error(tmp_path, capsys, "config error: " + message, **overrides)
+
+    @pytest.mark.parametrize("B, quantile", [(3, 0.5), (3, 0.4), (5, 0.5)])
+    def test_truncation_sets_that_overlap(self, tmp_path, capsys, B, quantile):
+        # ceil(quantile * B) agents from each end of the ranking share the
+        # median agent; it used to run and be paired with itself.
+        self.assert_config_error(tmp_path, capsys, "winners overlap", B=B, quantile=quantile)
+
     @pytest.mark.parametrize("objective, args", [
         ("sincos-switch", {"v": 3}),
         ("sincos", {"V": 3}),
@@ -339,6 +369,55 @@ class TestConfigRejectedAtParseTime:
         assert cli.main(["compare", cfg]) == cli.EXIT_OK
 
 
+class TestSpaceDocument:
+    """`cli._space`: the SearchSpace of a config's `space` object."""
+
+    def test_round_trip(self):
+        doc = """
+        {"continuous": [{"name": "x", "lower": 0.0, "upper": 1.5707963}],
+         "categorical": [{"name": "h", "choices": ["sin", "cos"]}]}
+        """
+        space = cli._space(json.loads(doc))
+        assert space.continuous[0].name == "x"
+        assert space.categorical[0].choices == ("sin", "cos")
+        assert space.n_arms == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"continuous": [], "categorcal": []},
+        {"continuous": [{"name": "x", "lower": 0.0, "upper": 1.0, "log": True}]},
+        {"categorical": [{"name": "h", "choices": ["a", "b"], "weights": [1, 1]}]},
+        {"continuous": [{"name": "x", "lower": 0.0, "upper": 1.0}],
+         "categorical": [{"name": "h", "choices": ["a", "b"]}],
+         "per_category_continuous": {"a": [{"name": "u", "lower": 0.0, "upper": 1.0}]}},
+    ])
+    def test_unknown_keys_rejected(self, doc):
+        with pytest.raises(ValueError, match="unknown"):
+            cli._space(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "space must be an object"),
+        ({"continuous": {"name": "x"}}, "space continuous must be a list"),
+        ({"continuous": ["x"]}, "continuous parameter must be an object"),
+        ({"continuous": [{"name": "x", "lower": 0.0}]}, "continuous parameter missing key 'upper'"),
+        ({"continuous": [{"name": "x", "lower": "0", "upper": 1.0}]}, "lower must be a number"),
+        ({"continuous": [{"name": "x", "lower": 0.0, "upper": True}]}, "upper must be a number"),
+        ({"continuous": [{"name": 5, "lower": 0.0, "upper": 1.0}]}, "name must be a string"),
+        ({"categorical": [{"name": "h", "choices": "sc"}]}, "choices must be a list"),
+        ({"categorical": [{"name": "h", "choices": [1, 2]}]}, "choices of 'h' must be strings"),
+        ({"categorical": [{"name": None, "choices": ["a", "b"]}]}, "name must be a string"),
+    ])
+    def test_wrong_json_types_rejected(self, doc, message):
+        # Each of these used to be cast (float("0"), float(True), tuple("sc"))
+        # or accepted as it was.
+        with pytest.raises(ValueError, match=message):
+            cli._space(doc)
+
+    def test_integer_bounds_become_floats(self):
+        space = cli._space({"continuous": [{"name": "x", "lower": 0, "upper": 2}]})
+        assert space.continuous[0] == ContinuousParam("x", 0.0, 2.0)
+        assert type(space.continuous[0].lower) is float
+
+
 # Wrong JSON types for most fields, numbers out of range for the rest, and a
 # few names that some field takes.
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 8), st.floats(),
@@ -359,12 +438,16 @@ PROPERTY_BASE = {
     "acquisition": FAST_ACQ,
 }
 # Where a drawn value replaces the base config's: top-level fields,
-# objective_args and the space's parameters.
+# objective_args, acquisition and the space's parameters; or where it is
+# added under a key that no object takes.
 FIELD_PATHS = [(name,) for name in PROPERTY_BASE] + [
-    ("output",), ("seeds", 0), ("objective_args", "V"), ("acquisition", "n_candidates"),
+    ("output",), ("seeds", 0), ("objective_args", "V"),
+    *(("acquisition", key) for key in ("c1", "c2", "n_candidates", "n_refine_steps")),
     ("space", "continuous"), ("space", "categorical"),
     *(("space", "continuous", 0, key) for key in ("name", "lower", "upper")),
     *(("space", "categorical", 0, key) for key in ("name", "choices")),
+    ("extra",), ("space", "extra"), ("space", "continuous", 0, "extra"),
+    ("space", "categorical", 0, "extra"), ("objective_args", "extra"), ("acquisition", "extra"),
 ]
 
 
@@ -403,12 +486,23 @@ class TestConfigProperty:
             assert len(read_csv(os.path.join(out, f"summary_{name}.csv"))) == 1 + T
 
 
+def readme_table(heading):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        return fh.read().split(f"### {heading}\n\n", 1)[1].split("\n\n", 1)[0]
+
+
 class TestReadme:
     def test_config_table_names_every_field(self):
-        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-        with open(readme) as fh:
-            table = fh.read().split("### Config fields\n\n", 1)[1].split("\n\n", 1)[0]
+        table = readme_table("Config fields")
         assert set(re.findall(r"^\| `(\w+)` \|", table, flags=re.M)) == set(cli._FIELDS)
+
+    def test_nested_table_names_every_key(self):
+        rows = re.findall(r"^\| ([^|]+) \| `(\w+)` \|", readme_table("Nested objects"), flags=re.M)
+        tables = {"`space`": cli._SPACE, "continuous parameter": cli._CONTINUOUS,
+                  "categorical parameter": cli._CATEGORICAL, "`acquisition`": cli._ACQUISITION,
+                  **{f"`objective_args` of `{name}`": args for name, args in OBJECTIVE_ARGS.items()}}
+        assert set(rows) == {(what, key) for what, table in tables.items() for key in table}
 
 
 class TestCompareCommand:
@@ -495,6 +589,13 @@ class TestBanditSim:
     def test_negative_seed_is_flag_error(self, capsys, seeds):
         assert cli.main(["bandit-sim", "--T", "10", "--seeds", *seeds]) == cli.EXIT_CONFIG
         assert "flag error:" in capsys.readouterr().err
+
+    def test_repeated_seed_is_flag_error(self, capsys):
+        # Used to count seed 0 twice in every mean it printed and wrote.
+        assert cli.main(["bandit-sim", "--T", "10", "--seeds", "0", "0", "1"]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "flag error:" in captured.err
+        assert "sublinear" not in captured.out
 
     def test_tracking_frequency_reported_with_swap(self, capsys):
         rc = cli.main(["bandit-sim", "--T", "60", "--V", "1",

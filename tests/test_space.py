@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -54,6 +53,21 @@ class TestParams:
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError):
             SearchSpace(continuous=(), categorical=())
+
+    def test_arm_indexing(self):
+        space = SearchSpace(
+            continuous=(),
+            categorical=(
+                CategoricalParam("a", ("p", "q")),
+                CategoricalParam("b", ("u", "v", "w")),
+            ),
+        )
+        assignments = space.categorical_assignments()
+        assert len(assignments) == 6
+        # Arm i is the assignment whose codes spell i in mixed radix (2, 3).
+        for i, h in enumerate(assignments):
+            a, b = space.encode_h(h)
+            assert 3 * a + b == i
 
 
 class TestValidateConfig:
@@ -144,68 +158,6 @@ class TestDataset:
         # Normalization spans the extrema of every reward appended so far.
         data = make_dataset([3.0, -1.0, 2.0])
         assert normalize_rewards(data).tolist() == [1.0, 0.0, 0.75]
-
-
-class TestJsonLoading:
-    def test_round_trip(self):
-        doc = """
-        {"continuous": [{"name": "x", "lower": 0.0, "upper": 1.5707963}],
-         "categorical": [{"name": "h", "choices": ["sin", "cos"]}]}
-        """
-        space = SearchSpace.from_dict(json.loads(doc))
-        assert space.continuous[0].name == "x"
-        assert space.categorical[0].choices == ("sin", "cos")
-        assert space.n_arms == 2
-
-    def test_arm_indexing(self):
-        space = SearchSpace(
-            continuous=(),
-            categorical=(
-                CategoricalParam("a", ("p", "q")),
-                CategoricalParam("b", ("u", "v", "w")),
-            ),
-        )
-        assignments = space.categorical_assignments()
-        assert len(assignments) == 6
-        # Arm i is the assignment whose codes spell i in mixed radix (2, 3).
-        for i, h in enumerate(assignments):
-            a, b = space.encode_h(h)
-            assert 3 * a + b == i
-
-    @pytest.mark.parametrize("doc", [
-        {"continuous": [], "categorcal": []},
-        {"continuous": [{"name": "x", "lower": 0.0, "upper": 1.0, "log": True}]},
-        {"categorical": [{"name": "h", "choices": ["a", "b"], "weights": [1, 1]}]},
-        {"continuous": [{"name": "x", "lower": 0.0, "upper": 1.0}],
-         "categorical": [{"name": "h", "choices": ["a", "b"]}],
-         "per_category_continuous": {"a": [{"name": "u", "lower": 0.0, "upper": 1.0}]}},
-    ])
-    def test_unknown_keys_rejected(self, doc):
-        with pytest.raises(ValueError, match="unknown"):
-            SearchSpace.from_dict(doc)
-
-    @pytest.mark.parametrize("doc, message", [
-        ([], "space must be an object"),
-        ({"continuous": {"name": "x"}}, "space continuous must be a list"),
-        ({"continuous": ["x"]}, "continuous parameter must be an object"),
-        ({"continuous": [{"name": "x", "lower": 0.0}]}, "continuous parameter missing key 'upper'"),
-        ({"continuous": [{"name": "x", "lower": "0", "upper": 1.0}]}, "lower must be a number"),
-        ({"continuous": [{"name": "x", "lower": 0.0, "upper": True}]}, "upper must be a number"),
-        ({"continuous": [{"name": 5, "lower": 0.0, "upper": 1.0}]}, "name must be a string"),
-        ({"categorical": [{"name": "h", "choices": "sc"}]}, "choices must be a list"),
-        ({"categorical": [{"name": "h", "choices": [1, 2]}]}, "choices of 'h' must be strings"),
-        ({"categorical": [{"name": None, "choices": ["a", "b"]}]}, "name must be a string"),
-    ])
-    def test_wrong_json_types_rejected(self, doc, message):
-        # Each of these used to be cast (float("0"), float(True), tuple("sc"))
-        # or accepted as it was.
-        with pytest.raises(ValueError, match=message):
-            SearchSpace.from_dict(doc)
-
-    def test_integer_bounds_become_floats(self):
-        space = SearchSpace.from_dict({"continuous": [{"name": "x", "lower": 0, "upper": 2}]})
-        assert space.continuous[0] == ContinuousParam("x", 0.0, 2.0)
-        assert type(space.continuous[0].lower) is float
 
 
 def two_by_three_space():

@@ -17,6 +17,7 @@ from popbandit.space import (
 )
 from popbandit.strategies import (
     StrategyKind,
+    check_truncation,
     exploit_truncation,
     explore_pb2_mix,
     explore_pb2_mult,
@@ -277,3 +278,10 @@ class TestExploitTruncation:
             exploit_truncation([1.0], 0.25, rng)
         with pytest.raises(ValueError):
             exploit_truncation([1.0, 2.0], 0.75, rng)
+        with pytest.raises(ValueError, match="overlap"):
+            exploit_truncation([1.0, 2.0, 3.0], 0.5, rng)  # the median would win and lose
+
+    @pytest.mark.parametrize("B, quantile, n", [(2, 0.5, 1), (4, 0.5, 2), (12, 0.25, 3),
+                                                (16, 0.25, 4), (7, 0.4, 3)])
+    def test_replaced_count(self, B, quantile, n):
+        assert check_truncation(B, quantile) == n
