@@ -35,17 +35,24 @@ rows differently on different thread counts; so no result depends on the
 thread count. The posterior's products over many candidates keep their threads.
 `GPModel.jitter` reports the diagonal jitter its factor needed (0.0 when none).
 
-Every kernel between two row sets comes from `_pairwise` (d2 and the category
-matches summed one column at a time) and `_kernel_matrix`, and every posterior
-query from `_query` (k^T alpha and L^-1 k). Batch acquisition queries a
-`_BatchPosterior` (GP-BUCB): each hallucinated input appends one row to the
-model's Cholesky factor, an O(n^2) solve, rather than re-factoring the model.
-The batch's one candidate set U is solved once per category assignment,
-V = L^-1 K(rows, U); when a pick reads an assignment again, its V gains one
-row per hallucination since, an O(nN) step, not a new query of U. When the
-model's factor needed jitter, or an appended pivot is not positive, each
-append from then on re-factors all rows as one `GPModel`; that factor replaces
-the bordered one and the kept V are dropped.
+Every kernel between two row sets is built from `_sqdist` (d2, summed one
+column at a time) and `_lags` (the category matches and |dt|), in two steps:
+`_row_terms`, the terms that do not depend on d2 (kxt's time exponent, and
+kht), then `_kxt` and `_combine` at d2's width, in place where numpy's order of
+IEEE operations allows. A query at one round with one row of codes gets its
+round and category terms one column wide, one number per row, and only d2 and
+K at full width; the fit's n x n terms are full width, as `_grad` reads them.
+Every posterior query is `_query` (k^T alpha and L^-1 k) of such a kernel.
+Batch acquisition queries a `_BatchPosterior` (GP-BUCB): each hallucinated
+input appends one row to the model's Cholesky factor, an O(n^2) solve, rather
+than re-factoring the model. All its queries sit at one round, so it keeps
+each category assignment's row terms and extends them by the rows appended
+since. The batch's one candidate set U is solved once per category
+assignment, V = L^-1 K(rows, U); when a pick reads an assignment again, its V
+gains one row per hallucination since, an O(nN) step, not a new query of U.
+When the model's factor needed jitter, or an appended pivot is not positive,
+each append from then on re-factors all rows as one `GPModel`; that factor
+replaces the bordered one and the kept V are dropped.
 
 Continuous inputs are expected pre-scaled to the unit hypercube. Models with no
 categorical columns use only the continuous-time factor (sigma2, eps2, lambda
@@ -126,24 +133,39 @@ class HyperparamBounds:
 # Gram matrix machinery (vectorized over precomputed pairwise structure)
 # ---------------------------------------------------------------------------
 
-def _pairwise(X1, H1, t1, X2, H2, t2):
-    """(squared distances, categorical match fraction or None, |dt|) between two row
-    sets, summed column by column (for d <= 7 in numpy's sum order), with no n1 x n2 x d
-    temporary. Either side's H and t may be one row, (1, m) and (1,); t2 also a scalar."""
+def _sqdist(X1, X2) -> np.ndarray:
+    """Squared distances between two row sets, summed column by column (for d <= 7
+    in numpy's sum order), with no n1 x n2 x d temporary."""
     n1, n2, d = len(X1), len(X2), X1.shape[1]
     d2 = (X1[:, 0, None] - X2[None, :, 0]) ** 2 if d else np.zeros((n1, n2))
     for j in range(1, d):
         d2 += (X1[:, j, None] - X2[None, :, j]) ** 2
+    return d2
+
+
+def _lags(H1, t1, H2, t2):
+    """(categorical match fraction or None, |dt|) between two row sets. A side given
+    as one row of codes (1, m) and one round ((1,), or a scalar for t2) gives them
+    one column (or row) wide, to be broadcast over that side's rows."""
     m = H1.shape[1]
     match = None
     if m:
-        match = np.zeros((n1, n2))
+        match = np.zeros((len(H1), len(H2)))
         for j in range(m):
             match += H1[:, j, None] == H2[None, :, j]
         match /= m
-    # Full width even for one round, so the time factor's exp runs over whole arrays.
-    dt = np.abs(np.subtract(t1[:, None], t2, out=np.empty((n1, n2))))
-    return d2, match, dt
+    dt = np.subtract(t1[:, None], t2)
+    return match, np.abs(dt, out=dt)
+
+
+def _pairwise(X1, H1, t1, X2, H2, t2):
+    """(d2, match or None, |dt|) between two row sets, from `_sqdist` and `_lags`.
+
+    d2 is always n1 x n2. Given one row of codes and one round for the second
+    side (a query at one round), match and dt come back n1 x 1, one number per
+    row of the first side, which the kernel's steps broadcast over the n2
+    columns with the same bits as full-width terms."""
+    return _sqdist(X1, X2), *_lags(H1, t1, H2, t2)
 
 
 def _time_factor(eps: float, dt) -> np.ndarray:
@@ -151,23 +173,45 @@ def _time_factor(eps: float, dt) -> np.ndarray:
     return np.exp(math.log1p(-eps) * (0.5 * dt))
 
 
-def _kernel_parts(theta: np.ndarray, d2, match, dt):
-    eps1, eps2, lengthscale, sigma1, sigma2, lam, _ = theta
-    kxt = sigma1 * np.exp(math.log1p(-eps1) * (0.5 * dt) - d2 / lengthscale)
-    if match is None:
-        return kxt, None
-    kht = sigma2 * match * _time_factor(eps2, dt)
-    return kxt, kht
+def _row_terms(theta: np.ndarray, match, dt):
+    """The kernel's terms that do not depend on d2, of dt's shape: kxt's time
+    exponent log(1 - eps1) dt/2, and kht = sigma2 match (1 - eps2)^(dt/2), None
+    without categories."""
+    eps1, eps2, _, _, sigma2, _, _ = theta
+    kht = None if match is None else sigma2 * match * _time_factor(eps2, dt)
+    return math.log1p(-eps1) * (0.5 * dt), kht
+
+
+def _kxt(theta: np.ndarray, d2, texp) -> np.ndarray:
+    """kxt = sigma1 exp(texp - d2/l), built in one new array of d2's shape by the
+    IEEE operations, in the order, that the expression takes."""
+    kxt = np.divide(d2, theta[2])
+    np.subtract(texp, kxt, out=kxt)
+    np.exp(kxt, out=kxt)
+    kxt *= theta[3]
+    return kxt
 
 
 def _combine(lam: float, kxt, kht):
+    """(1 - lam)(kxt + kht) + lam kxt kht, by the expression's IEEE operations, in
+    one new array with kxt overwritten as scratch; kxt itself when kht is None."""
     if kht is None:
         return kxt
-    return (1.0 - lam) * (kxt + kht) + lam * kxt * kht
+    K = np.add(kxt, kht)
+    K *= 1.0 - lam
+    kxt *= lam
+    kxt *= kht
+    K += kxt
+    return K
+
+
+def _kernel(theta: np.ndarray, d2, texp, kht):
+    """K from d2 and the same row pairs' `_row_terms`."""
+    return _combine(theta[5], _kxt(theta, d2, texp), kht)
 
 
 def _kernel_matrix(theta: np.ndarray, d2, match, dt):
-    return _combine(theta[5], *_kernel_parts(theta, d2, match, dt))
+    return _kernel(theta, d2, *_row_terms(theta, match, dt))
 
 
 def _prior_variance(theta: np.ndarray, mixed: bool) -> float:
@@ -208,10 +252,9 @@ def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _query(theta: np.ndarray, L, alpha, rows, Xq, Hq, tq):
-    """(k^T alpha, L^-1 k) for k = K(rows, (Xq, Hq, tq)), where rows = (X, H, t) are
-    L's rows and alpha weights the first len(alpha) of them (the observations)."""
-    k = _kernel_matrix(theta, *_pairwise(*rows, Xq, Hq, tq))
+def _query(L, alpha, k):
+    """(k^T alpha, L^-1 k) for a cross-kernel k from L's rows to the query points,
+    where alpha weights the first len(alpha) of those rows (the observations)."""
     return k[:len(alpha)].T @ alpha, _solve_lower(L, k)
 
 
@@ -278,7 +321,8 @@ class GPModel:
                              f"per query point; got {Hq if Hq is None else np.shape(Hq)}")
         Hq = np.asarray(Hq, dtype=int).reshape(nq, m) if m else self.H  # 0 columns: not read
         theta = self.theta.as_array()
-        mu, v = _query(theta, self.chol, self.alpha_vec, (self.X, self.H, self.t), Xq, Hq, tq)
+        k = _kernel_matrix(theta, *_pairwise(self.X, self.H, self.t, Xq, Hq, tq))
+        mu, v = _query(self.chol, self.alpha_vec, k)
         return mu, np.maximum(_prior_variance(theta, self.mixed) - np.sum(v * v, axis=0), 0.0)
 
     def with_observation(self, x, h, t, y) -> "GPModel":
@@ -332,12 +376,17 @@ class _BatchPosterior:
     where a new query of the N candidates would cost O(n^2 N). An assignment
     that no later pick asks for is never extended.
 
+    Every query here sits at round tq with one row of codes h, so each row's
+    d2-free kernel terms (`_row_terms`) are one number per row for all the
+    points queried. They are computed once per assignment, kept, and extended
+    by the rows appended since they were last read; a query then builds only
+    its own d2 and kxt (`_k`).
+
     When the model's factor needed jitter, or a new pivot d^2 is not positive,
     `append` re-factors all rows as one `GPModel` with zero targets (L does not
     depend on them), and from then on every append does so: that factor
-    replaces L and the kept sets, solved against the old one, are dropped.
-    Queries read L either way, and every kernel here comes from `_pairwise`,
-    with h and tq as one row and round.
+    replaces L and the kept sets, solved against the old one, are dropped. The
+    kept row terms do not depend on L and stay. Queries read L either way.
     """
 
     def __init__(self, model: GPModel, U: np.ndarray, tq: float):
@@ -351,11 +400,28 @@ class _BatchPosterior:
         self._refactor = model.jitter > 0.0
         self._U, self._tq = U, float(tq)
         self._sets: dict = {}  # category codes -> _CandidateSet
+        self._terms: dict = {}  # category codes -> (texp, kht) of the rows so far, at tq
 
     def _codes(self, h) -> np.ndarray:
         """h as one row (1 x m) of the model's category codes (empty when it has none)."""
         m = self._H.shape[1]  # a continuous-only model ignores h, as with_observation does
         return np.asarray(h, dtype=int).reshape(1, m) if m else np.zeros((1, 0), dtype=int)
+
+    def _k(self, Xq, hrow, start: int = 0) -> np.ndarray:
+        """K(rows from start on, Xq with codes hrow at round tq), from hrow's kept row terms."""
+        key = hrow.tobytes()
+        terms = self._terms.get(key)
+        done = 0 if terms is None else len(terms[0])
+        if terms is None or done < len(self._t):  # rows appended since last read
+            texp, kht = _row_terms(self._theta,
+                                   *_lags(self._H[done:], self._t[done:], hrow, self._tq))
+            if terms is not None:
+                texp = np.concatenate([terms[0], texp])
+                kht = None if kht is None else np.concatenate([terms[1], kht])
+            terms = self._terms[key] = texp, kht
+        texp, kht = terms
+        return _kernel(self._theta, _sqdist(self._X[start:], Xq), texp[start:],
+                       None if kht is None else kht[start:])
 
     def append(self, x, h, t) -> None:
         """Hallucinate an observation at (x, h, t)."""
@@ -387,22 +453,20 @@ class _BatchPosterior:
         key = hrow.tobytes()
         cs = self._sets.get(key)
         if cs is None:
-            mu, V = _query(self._theta, self._L, self.model.alpha_vec,
-                           (self._X, self._H, self._t), self._U, hrow, self._tq)
+            mu, V = _query(self._L, self.model.alpha_vec, self._k(self._U, hrow))
             cs = _CandidateSet(mu, V, np.sum(V * V, axis=0))
-        for r in range(len(cs.V), len(self._L)):  # hallucinations V has not seen
-            row = slice(r, r + 1)
-            k = _kernel_matrix(self._theta, *_pairwise(self._X[row], self._H[row], self._t[row],
-                                                       self._U, hrow, self._tq))[0]
-            v = (k - self._L[r, :r] @ cs.V) / self._L[r, r]
-            cs = cs._replace(V=np.vstack([cs.V, v]), ss=cs.ss + v * v)
+        done = len(cs.V)
+        if done < len(self._L):  # hallucinations V has not seen
+            for r, k in enumerate(self._k(self._U, hrow, done), start=done):
+                v = (k - self._L[r, :r] @ cs.V) / self._L[r, r]
+                cs = cs._replace(V=np.vstack([cs.V, v]), ss=cs.ss + v * v)
         self._sets[key] = cs
         return cs.mu, np.maximum(self._prior - cs.ss, 0.0)
 
     def point(self, x, h) -> tuple[float, float]:
         """(frozen mean, hallucinated variance) at one point x with codes h, at round tq."""
-        mu, v = _query(self._theta, self._L, self.model.alpha_vec, (self._X, self._H, self._t),
-                       np.reshape(x, (1, -1)), self._codes(h), self._tq)
+        k = self._k(np.reshape(x, (1, -1)), self._codes(h))
+        mu, v = _query(self._L, self.model.alpha_vec, k)
         return mu[0], max(self._prior - np.sum(v * v), 0.0)
 
 
@@ -425,10 +489,10 @@ def _factor(theta: np.ndarray, d2, match, dt, y: np.ndarray):
 
     With no rows the factor is 0 x 0, alpha is y and the log-density 0.0."""
     n = len(y)
-    kxt, kht = _kernel_parts(theta, d2, match, dt)
-    # The parts are kept for the gradient; a continuous-only K is kxt itself,
-    # so the noise goes on a copy.
-    K = kxt.copy() if kht is None else _combine(theta[5], kxt, kht)
+    texp, kht = _row_terms(theta, match, dt)
+    kxt = _kxt(theta, d2, texp)
+    # The parts are kept for the gradient, so K is combined from a copy of kxt.
+    K = _combine(theta[5], kxt.copy(), kht)
     K.flat[:: n + 1] += theta[6]
     L, jitter = _chol_with_jitter(K)
     # dpotrs refuses a 0-row right-hand side; batch acquisition factors an empty model too.

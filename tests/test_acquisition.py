@@ -413,3 +413,59 @@ class TestBatchPosteriorBits:
                     assert np.float64(got[0]).tobytes() == want[0].tobytes()
                     assert np.float64(got[1]).tobytes() == want[1].tobytes()
                 posterior.append(rng.uniform(size=d), h, 21.0)
+
+    @staticmethod
+    def assert_query_bits(posterior, U, h, rng, first_candidates):
+        """point at a few x, and candidates when it is h's first query, bit for bit."""
+        Hq = np.tile(h, (len(U), 1))
+        if first_candidates:
+            want = reference_query(posterior, U, Hq, posterior._tq)
+            for got, expected in zip(posterior.candidates(h), want):
+                assert got.tobytes() == expected.tobytes()
+        for x in rng.uniform(size=(5, U.shape[1])):
+            want = reference_query(posterior, x.reshape(1, -1), h.reshape(1, -1), posterior._tq)
+            got = posterior.point(x, h)
+            assert np.float64(got[0]).tobytes() == want[0].tobytes()
+            assert np.float64(got[1]).tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_assignment_first_queried_after_appends(self, d, m):
+        # Row terms kept for one assignment are extended by the rows appended
+        # since; an assignment first read after appends builds them in one go.
+        rng = np.random.default_rng(2000 + 10 * d + m)
+        n = 60
+        X, H = rng.uniform(size=(n, d)), rng.integers(0, 3, size=(n, m))
+        t = np.sort(rng.integers(1, 20, size=n)).astype(float)
+        theta = GPHyperparams(eps1=0.2, eps2=0.1, lengthscale=0.4, lam=0.3, noise=1e-3)
+        model = GPModel(X, H, t, np.sin(3 * X[:, 0]), theta)
+        U = rng.uniform(size=(40, d))
+        posterior = gp._BatchPosterior(model, U, 21.0)
+        seen = np.zeros(m, dtype=int)
+        self.assert_query_bits(posterior, U, seen, rng, first_candidates=True)
+        for _ in range(3):
+            posterior.append(rng.uniform(size=d), rng.integers(0, 3, size=m), 21.0)
+        self.assert_query_bits(posterior, U, seen, rng, first_candidates=False)
+        self.assert_query_bits(posterior, U, np.full(m, 2), rng, first_candidates=m > 0)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_jittered_model_refactors_and_keeps_row_terms(self, m):
+        # Every row twice and no noise: K is singular, so the factor needs jitter
+        # and every append re-factors, which drops the kept candidate sets but
+        # not the kept row terms.
+        rng = np.random.default_rng(3000 + m)
+        X, H = rng.uniform(size=(20, 1)), rng.integers(0, 2, size=(20, m))
+        t = np.sort(rng.integers(1, 20, size=20)).astype(float)
+        X, H, t = np.vstack([X, X]), np.vstack([H, H]), np.concatenate([t, t])
+        theta = GPHyperparams(eps1=0.1, eps2=0.1, lengthscale=0.5, lam=0.4, noise=0.0)
+        model = GPModel(X, H, t, np.sin(3 * X[:, 0]), theta)
+        assert model.jitter > 0.0
+        U = rng.uniform(size=(30, 1))
+        posterior = gp._BatchPosterior(model, U, 21.0)
+        codes = [np.full(m, c) for c in range(2)] if m else [np.zeros(0, dtype=int)]
+        for h in codes:
+            self.assert_query_bits(posterior, U, h, rng, first_candidates=True)
+        for _ in range(3):
+            posterior.append(rng.uniform(size=1), codes[-1], 21.0)
+            for h in codes:  # the kept sets are gone, so each is queried in full again
+                self.assert_query_bits(posterior, U, h, rng, first_candidates=True)

@@ -151,10 +151,12 @@ def pairwise_3d(X1, H1, t1, X2, H2, t2):
 
 class TestPairwise:
     @staticmethod
-    def assert_same_bits(got, want):
+    def assert_same_bits(got, want, broadcast=False):
         for g, w in zip(got, want):
             assert (g is None) == (w is None)
             if w is not None:
+                if broadcast:  # terms of a side given as one row come back one wide
+                    g = np.broadcast_to(g, w.shape)
                 assert g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
 
@@ -173,10 +175,10 @@ class TestPairwise:
             h, tq = rng.integers(0, 3, size=(1, m)), float(rng.integers(0, 30))
             self.assert_same_bits(gp._pairwise(X1, H1, t1, X2, h, tq),
                                   pairwise_3d(X1, H1, t1, X2, np.repeat(h, n2, axis=0),
-                                              np.full(n2, tq)))
+                                              np.full(n2, tq)), broadcast=True)
             self.assert_same_bits(gp._pairwise(X2, h, np.array([tq]), X1, H1, t1),
                                   pairwise_3d(X2, np.repeat(h, n2, axis=0), np.full(n2, tq),
-                                              X1, H1, t1))
+                                              X1, H1, t1), broadcast=True)
 
     @pytest.mark.parametrize("m", [0, 2])
     def test_peak_memory_does_not_grow_with_dimension(self, m):
@@ -195,6 +197,26 @@ class TestPairwise:
                 tracemalloc.stop()
         # A builder with an n x N x d temporary needs about (d + 1) n N doubles at d=7.
         assert peaks[1] <= peaks[0] + 0.1 * n * N * 8
+
+    @pytest.mark.parametrize("m, arrays", [(0, 2), (2, 3)])
+    def test_peak_memory_of_a_candidate_query(self, m, arrays):
+        # A query of N candidates at one round and one row of codes holds d2 and
+        # kxt at n x N (then K and its solve), and one more array for a mixed
+        # K's combination; its round and category terms are one column wide.
+        rng = np.random.default_rng(m)
+        n, N = 200, 1000
+        X, H = rng.uniform(size=(n, 1)), rng.integers(0, 3, size=(n, m))
+        t = np.sort(rng.integers(1, 20, size=n)).astype(float)
+        model = GPModel(X, H, t, np.sin(3 * X[:, 0]), GPHyperparams(noise=1e-2))
+        posterior = gp._BatchPosterior(model, rng.uniform(size=(N, 1)), 21.0)
+        h = rng.integers(0, 3, size=m)
+        tracemalloc.start()
+        try:
+            posterior.candidates(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (arrays + 0.1) * n * N * 8
 
 
 class TestPosterior:
