@@ -10,7 +10,12 @@ cross-kernel and one triangular solve over U, V = L^-1 K(rows, U), and a pick
 that reads an assignment again extends its V by one row per hallucination
 since, not by a new solve over U. The last pick is not
 hallucinated, because nothing reads it. Each pick's best candidate is refined
-by coordinate-wise golden-section search, one single-point query per step.
+one coordinate at a time on grids of 16 points, each grid one point-set query
+(`_BatchPosterior.points`, one triangular solve over its 16 columns): the first
+grid spans the coordinate's +-0.05 window, clipped to the box, and each further
+level spans one grid spacing either side of the best point so far. A grid point
+replaces the pick only when its UCB is strictly higher. The refinement draws
+nothing from the RNG.
 """
 from __future__ import annotations
 
@@ -23,16 +28,20 @@ import numpy as np
 from .gp import GPModel, _BatchPosterior
 from .space import ContinuousParam
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_HALF_WIDTH = 0.05  # unit-space window around the best candidate
+_GRID = 16  # points per refinement grid
 
 
 @dataclass(frozen=True)
 class AcquisitionConfig:
+    """beta_t = c1 + c2 ln(t); n_candidates random candidates per batch; and
+    n_refine_steps grid levels per continuous coordinate when refining a pick
+    (0: the best candidate is the pick)."""
+
     c1: float = 0.2
     c2: float = 0.4
     n_candidates: int = 1000
-    n_refine_steps: int = 20
+    n_refine_steps: int = 2
 
     def __post_init__(self):
         for name in ("c1", "c2"):
@@ -93,21 +102,19 @@ def select_batch_continuous(
         mu, var = posterior.candidates(hq)
         scores = mu + sqrt_beta * np.sqrt(var)
         best = int(np.argmax(scores))
-        u = U[best].copy()
-        best_score = scores[best]
-
-        def acq(uvec):
-            m, v = posterior.point(uvec, hq)
-            return float(m + sqrt_beta * math.sqrt(v))
-
+        u, best_score = U[best], scores[best]
         for j in range(d):
-            lo = max(0.0, u[j] - _REFINE_HALF_WIDTH)
-            hi = min(1.0, u[j] + _REFINE_HALF_WIDTH)
-            cand_u, cand_score = _golden_section(acq, u, j, lo, hi, cfg.n_refine_steps)
-            if cand_score > best_score:
-                u, best_score = cand_u, cand_score
-
-        u = np.clip(u, 0.0, 1.0)
+            lo, hi = max(0.0, u[j] - _REFINE_HALF_WIDTH), min(1.0, u[j] + _REFINE_HALF_WIDTH)
+            for _ in range(cfg.n_refine_steps):
+                Xq = np.tile(u, (_GRID, 1))
+                Xq[:, j] = np.linspace(lo, hi, _GRID)
+                mu, var = posterior.points(Xq, hq)
+                scores = mu + sqrt_beta * np.sqrt(var)
+                best = int(np.argmax(scores))
+                if scores[best] > best_score:
+                    u, best_score = Xq[best], scores[best]
+                step = (hi - lo) / (_GRID - 1)
+                lo, hi = max(lo, u[j] - step), min(hi, u[j] + step)
         if b + 1 < batch:  # the last pick's hallucination would be read by nothing
             posterior.append(u, hq, query_t)
         x = _from_unit(u, params)
@@ -116,29 +123,3 @@ def select_batch_continuous(
                 raise RuntimeError(f"acquisition produced out-of-bounds value for {p.name}")
         picks.append(x)
     return picks
-
-
-def _golden_section(acq, u, coord, lo, hi, steps):
-    """Maximize acq along one coordinate within [lo, hi]; returns (point, value)."""
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-
-    def at(val):
-        v = u.copy()
-        v[coord] = val
-        return v
-
-    f1, f2 = acq(at(x1)), acq(at(x2))
-    for _ in range(steps):
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = acq(at(x1))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = acq(at(x2))
-    if f1 >= f2:
-        return at(x1), f1
-    return at(x2), f2

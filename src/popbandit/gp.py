@@ -50,6 +50,7 @@ each category assignment's row terms and extends them by the rows appended
 since. The batch's one candidate set U is solved once per category
 assignment, V = L^-1 K(rows, U); when a pick reads an assignment again, its V
 gains one row per hallucination since, an O(nN) step, not a new query of U.
+Any other point set, such as a refinement grid, is one `_query` (`points`).
 When the model's factor needed jitter, or an appended pivot is not positive,
 each append from then on re-factors all rows as one `GPModel`; that factor
 replaces the bordered one and the kept V are dropped.
@@ -374,7 +375,9 @@ class _BatchPosterior:
     assignment again, V gains one row per hallucination appended since,
     v = (k(x, U) - c^T V) / d with that hallucination's row of L, an O(nN) step
     where a new query of the N candidates would cost O(n^2 N). An assignment
-    that no later pick asks for is never extended.
+    that no later pick asks for is never extended. `points` queries any other
+    point set, such as a refinement grid, with one `_query`: one cross-kernel
+    and one triangular solve over its columns, nothing kept.
 
     Every query here sits at round tq with one row of codes h, so each row's
     d2-free kernel terms (`_row_terms`) are one number per row for all the
@@ -390,7 +393,7 @@ class _BatchPosterior:
     """
 
     def __init__(self, model: GPModel, U: np.ndarray, tq: float):
-        """U holds the batch's candidates, which `candidates` and `point` query at round tq."""
+        """U holds the batch's candidates, which `candidates` queries at round tq."""
         self.model = model
         self._theta = model.theta.as_array()
         self._prior = _prior_variance(self._theta, model.mixed)
@@ -463,11 +466,11 @@ class _BatchPosterior:
         self._sets[key] = cs
         return cs.mu, np.maximum(self._prior - cs.ss, 0.0)
 
-    def point(self, x, h) -> tuple[float, float]:
-        """(frozen mean, hallucinated variance) at one point x with codes h, at round tq."""
-        k = self._k(np.reshape(x, (1, -1)), self._codes(h))
-        mu, v = _query(self._L, self.model.alpha_vec, k)
-        return mu[0], max(self._prior - np.sum(v * v), 0.0)
+    def points(self, Xq, h):
+        """(frozen mean, hallucinated variance) at the points Xq with codes h, at round tq:
+        one cross-kernel and one triangular solve over Xq's columns."""
+        mu, v = _query(self._L, self.model.alpha_vec, self._k(Xq, self._codes(h)))
+        return mu, np.maximum(self._prior - np.sum(v * v, axis=0), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -165,35 +165,40 @@ class TestSelectBatch:
 
 def select_by_refactoring(model, params, batch, t, cfg, rng, fixed_h=None):
     """The batch loop of select_batch_continuous on full models: one candidate set
-    per batch and, per pick, a full query of it through two posteriors, one frozen
-    and one re-factored after each hallucination."""
+    per batch and, per pick, full queries of it and of each refinement grid through
+    two posteriors, one frozen and one re-factored after each hallucination."""
     sqrt_beta = math.sqrt(beta(t, cfg))
     var_model = model
     picks = []
     U = rng.uniform(size=(cfg.n_candidates, len(params)))
+    n_grid = acquisition._GRID
+
+    def ucb(Xq, hq):
+        Hq = None if hq is None else np.tile(hq, (len(Xq), 1))
+        mu, _ = model.posterior(Xq, Hq, t + 1)
+        _, var = var_model.posterior(Xq, Hq, t + 1)
+        return mu + sqrt_beta * np.sqrt(var)
+
     for b in range(batch):
         hq = None if fixed_h is None else np.asarray(fixed_h[b], dtype=int)
-        Hq = None if hq is None else np.tile(hq, (cfg.n_candidates, 1))
-        mu, _ = model.posterior(U, Hq, t + 1)
-        _, var = var_model.posterior(U, Hq, t + 1)
-        scores = mu + sqrt_beta * np.sqrt(var)
+        scores = ucb(U, hq)
         best = int(np.argmax(scores))
         u, best_score = U[best].copy(), scores[best]
-
-        def acq(uvec):
-            hrow = None if hq is None else hq.reshape(1, -1)
-            m, _ = model.posterior(uvec.reshape(1, -1), hrow, t + 1)
-            _, v = var_model.posterior(uvec.reshape(1, -1), hrow, t + 1)
-            return float(m[0] + sqrt_beta * math.sqrt(v[0]))
-
         for j in range(len(params)):
+            # Each level's window: the last one cut to one grid spacing either
+            # side of the best point so far; the first, u[j] +- the half width.
             lo = max(0.0, u[j] - acquisition._REFINE_HALF_WIDTH)
             hi = min(1.0, u[j] + acquisition._REFINE_HALF_WIDTH)
-            cand_u, cand_score = acquisition._golden_section(acq, u, j, lo, hi,
-                                                             cfg.n_refine_steps)
-            if cand_score > best_score:
-                u, best_score = cand_u, cand_score
-        u = np.clip(u, 0.0, 1.0)
+            for _ in range(cfg.n_refine_steps):
+                grid = np.linspace(lo, hi, n_grid)
+                Xq = np.tile(u, (n_grid, 1))
+                Xq[:, j] = grid
+                grid_scores = ucb(Xq, hq)
+                i = int(np.argmax(grid_scores))
+                if grid_scores[i] > best_score:
+                    u[j], best_score = grid[i], grid_scores[i]
+                spacing = (hi - lo) / (n_grid - 1)
+                lo, hi = max(lo, u[j] - spacing), min(hi, u[j] + spacing)
         var_model = var_model.with_observation(u, hq, t + 1, 0.0)
         picks.append(acquisition._from_unit(u, params))
     return picks
@@ -386,9 +391,18 @@ def reference_query(posterior, Xq, Hq, tq):
 
 
 class TestBatchPosteriorBits:
+    @staticmethod
+    def assert_points_bits(posterior, h, rng):
+        """points over a 16-column set, bit for bit."""
+        d = posterior._X.shape[1]
+        Xq = rng.uniform(size=(16, d))
+        want = reference_query(posterior, Xq, np.tile(h, (16, 1)), posterior._tq)
+        for got, expected in zip(posterior.points(Xq, h), want):
+            assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_point_and_first_candidates_match_reference_bits(self, d, m):
+    def test_points_and_first_candidates_match_reference_bits(self, d, m):
         for seed in range(6):
             rng = np.random.default_rng(1000 * d + 10 * m + seed)
             n = int(rng.integers(2, 150))
@@ -407,26 +421,20 @@ class TestBatchPosteriorBits:
                     want = reference_query(posterior, U, Hq, 21.0)
                     for got, expected in zip(posterior.candidates(h), want):
                         assert got.tobytes() == expected.tobytes()
-                for x in rng.uniform(size=(10, d)):
-                    want = reference_query(posterior, x.reshape(1, -1), h.reshape(1, -1), 21.0)
-                    got = posterior.point(x, h)
-                    assert np.float64(got[0]).tobytes() == want[0].tobytes()
-                    assert np.float64(got[1]).tobytes() == want[1].tobytes()
+                for _ in range(3):
+                    self.assert_points_bits(posterior, h, rng)
                 posterior.append(rng.uniform(size=d), h, 21.0)
 
-    @staticmethod
-    def assert_query_bits(posterior, U, h, rng, first_candidates):
-        """point at a few x, and candidates when it is h's first query, bit for bit."""
-        Hq = np.tile(h, (len(U), 1))
+    @classmethod
+    def assert_query_bits(cls, posterior, U, h, rng, first_candidates):
+        """points over a few 16-point sets, and candidates when it is h's first
+        query, bit for bit."""
         if first_candidates:
-            want = reference_query(posterior, U, Hq, posterior._tq)
+            want = reference_query(posterior, U, np.tile(h, (len(U), 1)), posterior._tq)
             for got, expected in zip(posterior.candidates(h), want):
                 assert got.tobytes() == expected.tobytes()
-        for x in rng.uniform(size=(5, U.shape[1])):
-            want = reference_query(posterior, x.reshape(1, -1), h.reshape(1, -1), posterior._tq)
-            got = posterior.point(x, h)
-            assert np.float64(got[0]).tobytes() == want[0].tobytes()
-            assert np.float64(got[1]).tobytes() == want[1].tobytes()
+        for _ in range(3):
+            cls.assert_points_bits(posterior, h, rng)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("d", [1, 2])
@@ -469,3 +477,59 @@ class TestBatchPosteriorBits:
             posterior.append(rng.uniform(size=1), codes[-1], 21.0)
             for h in codes:  # the kept sets are gone, so each is queried in full again
                 self.assert_query_bits(posterior, U, h, rng, first_candidates=True)
+
+
+class TestRefinement:
+    """Properties of the grid refinement of one pick, on the unit box, where a
+    pick's raw value is its unit value."""
+
+    @staticmethod
+    def first_pick(seed, d, mixed, steps):
+        """(best candidate, its UCB, the refined pick, its UCB) of a batch of one;
+        both UCBs come from one `points` query."""
+        model, _ = random_batch_case(seed, d, mixed, 1e-3)
+        params = tuple(ContinuousParam(f"x{j}", 0.0, 1.0) for j in range(d))
+        cfg = AcquisitionConfig(n_candidates=200, n_refine_steps=steps)
+        h = np.array([seed % 3]) if mixed else None
+        pick = select_batch_continuous(model, params, 1, 20, cfg, np.random.default_rng(seed),
+                                       None if h is None else [h])[0]
+        sqrt_beta = math.sqrt(beta(20, cfg))
+        U = np.random.default_rng(seed).uniform(size=(cfg.n_candidates, d))
+        posterior = gp._BatchPosterior(model, U, 21.0)
+        mu, var = posterior.candidates(h)
+        best = U[int(np.argmax(mu + sqrt_beta * np.sqrt(var)))]
+        mu, var = posterior.points(np.vstack([best, pick]), h)
+        ucb = mu + sqrt_beta * np.sqrt(var)
+        return best, ucb[0], pick, ucb[1]
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pick_in_window_and_no_worse_than_best_candidate(self, d, mixed, steps):
+        for seed in range(8):
+            best, best_ucb, pick, pick_ucb = self.first_pick(40 + seed, d, mixed, steps)
+            # The pick's grid UCB was strictly higher than the candidate's; queried
+            # again in another point set, each may move by a few ulps.
+            assert pick_ucb >= best_ucb - 1e-12
+            lo = np.maximum(0.0, best - acquisition._REFINE_HALF_WIDTH)
+            hi = np.minimum(1.0, best + acquisition._REFINE_HALF_WIDTH)
+            assert np.all((lo <= pick) & (pick <= hi))
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_no_refinement_returns_best_candidate(self, mixed):
+        for seed in range(8):
+            best, _, pick, _ = self.first_pick(60 + seed, 2, mixed, 0)
+            assert pick.tobytes() == best.tobytes()
+        model, _ = random_batch_case(7, 2, mixed, 1e-3)
+        params = tuple(ContinuousParam(f"x{j}", 0.0, 1.0) for j in range(2))
+        cfg = AcquisitionConfig(n_candidates=50, n_refine_steps=0)
+        fixed_h = [np.array([c % 3]) for c in range(4)] if mixed else None
+        picks = select_batch_continuous(model, params, 4, 20, cfg, np.random.default_rng(7),
+                                        fixed_h)
+        U = np.random.default_rng(7).uniform(size=(cfg.n_candidates, 2))
+        assert all(any(x.tobytes() == u.tobytes() for u in U) for x in picks)
+
+    def test_refinement_moves_off_the_candidates(self):
+        moved = [not np.array_equal(best, pick)
+                 for best, _, pick, _ in (self.first_pick(80 + s, 1, False, 2) for s in range(8))]
+        assert any(moved)

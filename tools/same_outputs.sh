@@ -12,7 +12,8 @@
 #     categorical parameters (B=12, T=25);
 #   - `run` of pb2-mix from a config that sets every optional field, each
 #     away from its default: quantile 0.5 at an even B, all four acquisition
-#     keys, objective_args, output (which --out overrides) and strategies;
+#     keys (n_refine_steps 3 grid levels, against the default 2),
+#     objective_args, output (which --out overrides) and strategies;
 #   - `gradcheck`, the one command that prints `gp.log_marginal` and
 #     `gp.grad_log_marginal` (through their finite-difference errors);
 #   - `bandit-sim --C 4 --B 2 --T 200 --V 1 --seeds 0 1 2`, with its CSV.
@@ -52,7 +53,7 @@ done
 cat > "$tmp/configs/run-every-field.json" <<EOF
 {"space": $sincos_space, "objective": "sincos-switch", "objective_args": {"V": 2},
  "strategy": "pb2-mix", "strategies": ["random"], "seeds": [0, 1], "B": 6, "T_rounds": 20,
- "quantile": 0.5, "acquisition": {"c1": 0.5, "c2": 0.1, "n_candidates": 300, "n_refine_steps": 7},
+ "quantile": 0.5, "acquisition": {"c1": 0.5, "c2": 0.1, "n_candidates": 300, "n_refine_steps": 3},
  "output": "unused-output"}
 EOF
 
