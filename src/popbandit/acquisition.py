@@ -67,7 +67,9 @@ def beta(t: int, cfg: AcquisitionConfig) -> float:
 
 
 def _from_unit(u, params):
-    return np.array([p.lower + v * (p.upper - p.lower) for v, p in zip(u, params)])
+    """Raw values of the unit values u; clipped, since lower + 1.0 (upper - lower)
+    can round above upper."""
+    return np.array([p.clip(p.lower + v * (p.upper - p.lower)) for v, p in zip(u, params)])
 
 
 def select_batch_continuous(
@@ -93,9 +95,9 @@ def select_batch_continuous(
         raise ValueError("fixed_h must provide one assignment per pick")
     d = len(params)
     sqrt_beta = math.sqrt(beta(t, cfg))
-    query_t = t + 1  # picks will be evaluated one round ahead
     U = rng.uniform(size=(cfg.n_candidates, d))  # one candidate set for the whole batch
-    posterior = _BatchPosterior(model, U, query_t)  # frozen mean, accumulates hallucinations
+    # Frozen mean, accumulates hallucinations; picks will be evaluated one round ahead.
+    posterior = _BatchPosterior(model, U, t + 1)
     picks = []
     for b in range(batch):
         hq = None if fixed_h is None else np.asarray(fixed_h[b], dtype=int)
@@ -116,7 +118,7 @@ def select_batch_continuous(
                 step = (hi - lo) / (_GRID - 1)
                 lo, hi = max(lo, u[j] - step), min(hi, u[j] + step)
         if b + 1 < batch:  # the last pick's hallucination would be read by nothing
-            posterior.append(u, hq, query_t)
+            posterior.append(u, hq)
         x = _from_unit(u, params)
         for p, v in zip(params, x):
             if not p.lower - 1e-12 <= v <= p.upper + 1e-12:

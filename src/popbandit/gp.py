@@ -35,22 +35,21 @@ rows differently on different thread counts; so no result depends on the
 thread count. The posterior's products over many candidates keep their threads.
 `GPModel.jitter` reports the diagonal jitter its factor needed (0.0 when none).
 
-Every kernel between two row sets is built from `_sqdist` (d2, summed one
-column at a time) and `_lags` (the category matches and |dt|), in two steps:
-`_row_terms`, the terms that do not depend on d2 (kxt's time exponent, and
-kht), then `_kxt` and `_combine` at d2's width, in place where numpy's order of
-IEEE operations allows. A query at one round with one row of codes gets its
-round and category terms one column wide, one number per row, and only d2 and
-K at full width; the fit's n x n terms are full width, as `_grad` reads them.
-Every posterior query is `_query` (k^T alpha and L^-1 k) of such a kernel.
-Batch acquisition queries a `_BatchPosterior` (GP-BUCB): each hallucinated
-input appends one row to the model's Cholesky factor, an O(n^2) solve, rather
-than re-factoring the model. All its queries sit at one round, so it keeps
-each category assignment's row terms and extends them by the rows appended
-since. The batch's one candidate set U is solved once per category
-assignment, V = L^-1 K(rows, U); when a pick reads an assignment again, its V
-gains one row per hallucination since, an O(nN) step, not a new query of U.
-Any other point set, such as a refinement grid, is one `_query` (`points`).
+Every kernel between two row sets is `_kernel_matrix` of `_pairwise` (d2 and
+the category matches, summed one column at a time, and |dt|): `_kernel_parts`
+builds kxt at d2's width and kht, and `_combine` mixes them, in place where
+numpy's order of IEEE operations allows. A query at one round with one row of
+codes gets its round and category terms one column wide, one number per row,
+and only d2 and K at full width; the fit's n x n terms are full width, as
+`_grad` reads them. Every posterior query is `_query` (k^T alpha and L^-1 k)
+of such a kernel. Batch acquisition queries a `_BatchPosterior` (GP-BUCB):
+each hallucinated input appends one row to the model's Cholesky factor, an
+O(n^2) solve, rather than re-factoring the model; its column of K is one
+more query at the batch's round. The batch's one candidate set U is solved
+once per category assignment, V = L^-1 K(rows, U); when a pick reads an
+assignment again, its V gains one row per hallucination since, an O(nN) step,
+not a new query of U. Any other point set, such as a refinement grid, is one
+`_query` (`points`).
 When the model's factor needed jitter, or an appended pivot is not positive,
 each append from then on re-factors all rows as one `GPModel`; that factor
 replaces the bordered one and the kept V are dropped.
@@ -134,39 +133,27 @@ class HyperparamBounds:
 # Gram matrix machinery (vectorized over precomputed pairwise structure)
 # ---------------------------------------------------------------------------
 
-def _sqdist(X1, X2) -> np.ndarray:
-    """Squared distances between two row sets, summed column by column (for d <= 7
-    in numpy's sum order), with no n1 x n2 x d temporary."""
-    n1, n2, d = len(X1), len(X2), X1.shape[1]
+def _pairwise(X1, H1, t1, X2, H2, t2):
+    """(d2, categorical match fraction or None, |dt|) between two row sets.
+
+    d2 is always n1 x n2, summed one column at a time (for d <= 7 in numpy's sum
+    order) with no n1 x n2 x d temporary; match likewise. Given one row of codes
+    (1, m) and one round for the second side (a query at one round), match and
+    dt come back n1 x 1, one number per row of the first side, which the
+    kernel's steps broadcast over the n2 columns with the same bits as
+    full-width terms."""
+    n1, n2, d, m = len(X1), len(X2), X1.shape[1], H1.shape[1]
     d2 = (X1[:, 0, None] - X2[None, :, 0]) ** 2 if d else np.zeros((n1, n2))
     for j in range(1, d):
         d2 += (X1[:, j, None] - X2[None, :, j]) ** 2
-    return d2
-
-
-def _lags(H1, t1, H2, t2):
-    """(categorical match fraction or None, |dt|) between two row sets. A side given
-    as one row of codes (1, m) and one round ((1,), or a scalar for t2) gives them
-    one column (or row) wide, to be broadcast over that side's rows."""
-    m = H1.shape[1]
     match = None
     if m:
-        match = np.zeros((len(H1), len(H2)))
+        match = np.zeros((n1, len(H2)))
         for j in range(m):
             match += H1[:, j, None] == H2[None, :, j]
         match /= m
     dt = np.subtract(t1[:, None], t2)
-    return match, np.abs(dt, out=dt)
-
-
-def _pairwise(X1, H1, t1, X2, H2, t2):
-    """(d2, match or None, |dt|) between two row sets, from `_sqdist` and `_lags`.
-
-    d2 is always n1 x n2. Given one row of codes and one round for the second
-    side (a query at one round), match and dt come back n1 x 1, one number per
-    row of the first side, which the kernel's steps broadcast over the n2
-    columns with the same bits as full-width terms."""
-    return _sqdist(X1, X2), *_lags(H1, t1, H2, t2)
+    return d2, match, np.abs(dt, out=dt)
 
 
 def _time_factor(eps: float, dt) -> np.ndarray:
@@ -174,23 +161,18 @@ def _time_factor(eps: float, dt) -> np.ndarray:
     return np.exp(math.log1p(-eps) * (0.5 * dt))
 
 
-def _row_terms(theta: np.ndarray, match, dt):
-    """The kernel's terms that do not depend on d2, of dt's shape: kxt's time
-    exponent log(1 - eps1) dt/2, and kht = sigma2 match (1 - eps2)^(dt/2), None
-    without categories."""
-    eps1, eps2, _, _, sigma2, _, _ = theta
+def _kernel_parts(theta: np.ndarray, d2, match, dt):
+    """(kxt, kht): kxt = sigma1 exp(log(1 - eps1) dt/2 - d2/l), built in one new
+    array of d2's shape by the IEEE operations, in the order, that the
+    expression takes; kht = sigma2 match (1 - eps2)^(dt/2) of match's shape,
+    None without categories."""
+    eps1, eps2, lengthscale, sigma1, sigma2, _, _ = theta
     kht = None if match is None else sigma2 * match * _time_factor(eps2, dt)
-    return math.log1p(-eps1) * (0.5 * dt), kht
-
-
-def _kxt(theta: np.ndarray, d2, texp) -> np.ndarray:
-    """kxt = sigma1 exp(texp - d2/l), built in one new array of d2's shape by the
-    IEEE operations, in the order, that the expression takes."""
-    kxt = np.divide(d2, theta[2])
-    np.subtract(texp, kxt, out=kxt)
+    kxt = np.divide(d2, lengthscale)
+    np.subtract(math.log1p(-eps1) * (0.5 * dt), kxt, out=kxt)
     np.exp(kxt, out=kxt)
-    kxt *= theta[3]
-    return kxt
+    kxt *= sigma1
+    return kxt, kht
 
 
 def _combine(lam: float, kxt, kht):
@@ -206,13 +188,8 @@ def _combine(lam: float, kxt, kht):
     return K
 
 
-def _kernel(theta: np.ndarray, d2, texp, kht):
-    """K from d2 and the same row pairs' `_row_terms`."""
-    return _combine(theta[5], _kxt(theta, d2, texp), kht)
-
-
 def _kernel_matrix(theta: np.ndarray, d2, match, dt):
-    return _kernel(theta, d2, *_row_terms(theta, match, dt))
+    return _combine(theta[5], *_kernel_parts(theta, d2, match, dt))
 
 
 def _prior_variance(theta: np.ndarray, mixed: bool) -> float:
@@ -379,21 +356,19 @@ class _BatchPosterior:
     point set, such as a refinement grid, with one `_query`: one cross-kernel
     and one triangular solve over its columns, nothing kept.
 
-    Every query here sits at round tq with one row of codes h, so each row's
-    d2-free kernel terms (`_row_terms`) are one number per row for all the
-    points queried. They are computed once per assignment, kept, and extended
-    by the rows appended since they were last read; a query then builds only
-    its own d2 and kxt (`_k`).
+    Every kernel here, the appended column k included, is one `_k`: K from the
+    factor's rows to points at round tq with one row of codes h, whose round
+    and category terms are one number per row.
 
     When the model's factor needed jitter, or a new pivot d^2 is not positive,
     `append` re-factors all rows as one `GPModel` with zero targets (L does not
     depend on them), and from then on every append does so: that factor
-    replaces L and the kept sets, solved against the old one, are dropped. The
-    kept row terms do not depend on L and stay. Queries read L either way.
+    replaces L and the kept sets, solved against the old one, are dropped.
+    Queries read L either way.
     """
 
     def __init__(self, model: GPModel, U: np.ndarray, tq: float):
-        """U holds the batch's candidates, which `candidates` queries at round tq."""
+        """U holds the batch's candidates. Every query and every hallucination sits at round tq."""
         self.model = model
         self._theta = model.theta.as_array()
         self._prior = _prior_variance(self._theta, model.mixed)
@@ -403,7 +378,6 @@ class _BatchPosterior:
         self._refactor = model.jitter > 0.0
         self._U, self._tq = U, float(tq)
         self._sets: dict = {}  # category codes -> _CandidateSet
-        self._terms: dict = {}  # category codes -> (texp, kht) of the rows so far, at tq
 
     def _codes(self, h) -> np.ndarray:
         """h as one row (1 x m) of the model's category codes (empty when it has none)."""
@@ -411,30 +385,19 @@ class _BatchPosterior:
         return np.asarray(h, dtype=int).reshape(1, m) if m else np.zeros((1, 0), dtype=int)
 
     def _k(self, Xq, hrow, start: int = 0) -> np.ndarray:
-        """K(rows from start on, Xq with codes hrow at round tq), from hrow's kept row terms."""
-        key = hrow.tobytes()
-        terms = self._terms.get(key)
-        done = 0 if terms is None else len(terms[0])
-        if terms is None or done < len(self._t):  # rows appended since last read
-            texp, kht = _row_terms(self._theta,
-                                   *_lags(self._H[done:], self._t[done:], hrow, self._tq))
-            if terms is not None:
-                texp = np.concatenate([terms[0], texp])
-                kht = None if kht is None else np.concatenate([terms[1], kht])
-            terms = self._terms[key] = texp, kht
-        texp, kht = terms
-        return _kernel(self._theta, _sqdist(self._X[start:], Xq), texp[start:],
-                       None if kht is None else kht[start:])
+        """K(rows from start on, Xq with codes hrow at round tq)."""
+        return _kernel_matrix(self._theta, *_pairwise(self._X[start:], self._H[start:],
+                                                      self._t[start:], Xq, hrow, self._tq))
 
-    def append(self, x, h, t) -> None:
-        """Hallucinate an observation at (x, h, t)."""
+    def append(self, x, h) -> None:
+        """Hallucinate an observation at (x, h), at the batch's round tq."""
         hrow = self._codes(h)
         x = np.reshape(x, (1, -1))
         self._X = np.vstack([self._X, x])
         self._H = np.vstack([self._H, hrow])
-        self._t = np.append(self._t, float(t))
+        self._t = np.append(self._t, self._tq)
         if not self._refactor:
-            k = _kernel_matrix(self._theta, *_pairwise(self._X, self._H, self._t, x, hrow, t))[:, 0]
+            k = self._k(x, hrow)[:, 0]
             c = _solve_lower(self._L, k[:-1])
             pivot = k[-1] + self._theta[6] - c @ c
             if pivot > 0.0:
@@ -492,8 +455,7 @@ def _factor(theta: np.ndarray, d2, match, dt, y: np.ndarray):
 
     With no rows the factor is 0 x 0, alpha is y and the log-density 0.0."""
     n = len(y)
-    texp, kht = _row_terms(theta, match, dt)
-    kxt = _kxt(theta, d2, texp)
+    kxt, kht = _kernel_parts(theta, d2, match, dt)
     # The parts are kept for the gradient, so K is combined from a copy of kxt.
     K = _combine(theta[5], kxt.copy(), kht)
     K.flat[:: n + 1] += theta[6]

@@ -162,6 +162,12 @@ class TestSelectBatch:
         for x in picks:
             assert 0.0 <= x[0] <= 1.0
 
+    def test_from_unit_keeps_the_bounds(self):
+        # -3.0 + 1.0 * (0.7 - -3.0) rounds to 0.7000000000000002.
+        params = (ContinuousParam("x", -3.0, 0.7), ContinuousParam("z", -3.0, 0.7))
+        x = acquisition._from_unit(np.array([1.0, 0.0]), params)
+        assert x.tolist() == [0.7, -3.0]
+
 
 def select_by_refactoring(model, params, batch, t, cfg, rng, fixed_h=None):
     """The batch loop of select_batch_continuous on full models: one candidate set
@@ -276,7 +282,7 @@ class TestAppendedRowFactor:
         posterior = gp._BatchPosterior(model, Xq, 1.0)
         chain = model
         for x in (0.5, 0.9):
-            posterior.append(np.array([x]), None, 1.0)
+            posterior.append(np.array([x]), None)
             chain = chain.with_observation(np.array([x]), None, 1.0, 0.0)
             mu, var = posterior.candidates(None)
             assert mu.tobytes() == model.posterior(Xq, None, 1.0)[0].tobytes()
@@ -297,7 +303,7 @@ class TestAppendedRowFactor:
             posterior.candidates(np.array([h]))
         chain = model
         for x, h in ((0.5, 0), (0.9, 1)):
-            posterior.append(np.array([x]), np.array([h]), 1.0)
+            posterior.append(np.array([x]), np.array([h]))
             chain = chain.with_observation(np.array([x]), np.array([h]), 1.0, 0.0)
             for hq in (0, 1):
                 Hq = np.full((len(Xq), 1), hq)
@@ -423,7 +429,7 @@ class TestBatchPosteriorBits:
                         assert got.tobytes() == expected.tobytes()
                 for _ in range(3):
                     self.assert_points_bits(posterior, h, rng)
-                posterior.append(rng.uniform(size=d), h, 21.0)
+                posterior.append(rng.uniform(size=d), h)
 
     @classmethod
     def assert_query_bits(cls, posterior, U, h, rng, first_candidates):
@@ -439,8 +445,8 @@ class TestBatchPosteriorBits:
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("d", [1, 2])
     def test_assignment_first_queried_after_appends(self, d, m):
-        # Row terms kept for one assignment are extended by the rows appended
-        # since; an assignment first read after appends builds them in one go.
+        # The candidate set kept for one assignment gains one row per append
+        # since; an assignment first read after appends is queried in full.
         rng = np.random.default_rng(2000 + 10 * d + m)
         n = 60
         X, H = rng.uniform(size=(n, d)), rng.integers(0, 3, size=(n, m))
@@ -452,15 +458,14 @@ class TestBatchPosteriorBits:
         seen = np.zeros(m, dtype=int)
         self.assert_query_bits(posterior, U, seen, rng, first_candidates=True)
         for _ in range(3):
-            posterior.append(rng.uniform(size=d), rng.integers(0, 3, size=m), 21.0)
+            posterior.append(rng.uniform(size=d), rng.integers(0, 3, size=m))
         self.assert_query_bits(posterior, U, seen, rng, first_candidates=False)
         self.assert_query_bits(posterior, U, np.full(m, 2), rng, first_candidates=m > 0)
 
     @pytest.mark.parametrize("m", [0, 1])
-    def test_jittered_model_refactors_and_keeps_row_terms(self, m):
+    def test_jittered_model_refactors_every_append(self, m):
         # Every row twice and no noise: K is singular, so the factor needs jitter
-        # and every append re-factors, which drops the kept candidate sets but
-        # not the kept row terms.
+        # and every append re-factors, which drops the kept candidate sets.
         rng = np.random.default_rng(3000 + m)
         X, H = rng.uniform(size=(20, 1)), rng.integers(0, 2, size=(20, m))
         t = np.sort(rng.integers(1, 20, size=20)).astype(float)
@@ -474,9 +479,35 @@ class TestBatchPosteriorBits:
         for h in codes:
             self.assert_query_bits(posterior, U, h, rng, first_candidates=True)
         for _ in range(3):
-            posterior.append(rng.uniform(size=1), codes[-1], 21.0)
+            posterior.append(rng.uniform(size=1), codes[-1])
             for h in codes:  # the kept sets are gone, so each is queried in full again
                 self.assert_query_bits(posterior, U, h, rng, first_candidates=True)
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_appended_factor_rows_match_bordered_oracle_bits(self, d, m):
+        # The oracle borders L with k = K(all rows, x with codes h at round tq):
+        # c = L^-1 k[:-1] and sqrt(k[-1] + noise - c.c).
+        rng = np.random.default_rng(4000 + 10 * d + m)
+        n, tq = 50, 21.0
+        X, H = rng.uniform(size=(n, d)), rng.integers(0, 3, size=(n, m))
+        t = np.sort(rng.integers(1, 20, size=n)).astype(float)
+        theta = GPHyperparams(eps1=0.2, eps2=0.1, lengthscale=0.4, lam=0.3, noise=1e-3)
+        model = GPModel(X, H, t, np.sin(3 * X[:, 0]), theta)
+        posterior = gp._BatchPosterior(model, rng.uniform(size=(20, d)), tq)
+        theta, L = theta.as_array(), model.chol
+        for _ in range(6):
+            x, h = rng.uniform(size=(1, d)), rng.integers(0, 3, size=(1, m))
+            posterior.candidates(h)  # a kept set, extended on the next read
+            posterior.append(x[0], h[0])
+            X, H, t = np.vstack([X, x]), np.vstack([H, h]), np.append(t, tq)
+            k = gp._kernel_matrix(theta, *gp._pairwise(X, H, t, x, h, tq))[:, 0]
+            c = solve_triangular(L, k[:-1], lower=True, check_finite=False)
+            pivot = k[-1] + theta[6] - c @ c
+            assert pivot > 0.0
+            L, bordered = np.zeros((len(k), len(k))), L
+            L[:-1, :-1], L[-1, :-1], L[-1, -1] = bordered, c, math.sqrt(pivot)
+            assert posterior._L.tobytes() == L.tobytes()
 
 
 class TestRefinement:

@@ -125,6 +125,15 @@ class TestRunCommand:
         cfg = write_config(tmp_path, space=one_arm, strategies=["random", strategy])
         assert cli.main(["compare", cfg]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("strategy", ["pb2-rand", "pb2-mult", "pb2-mix"])
+    def test_pick_on_the_upper_bound_is_in_the_box(self, tmp_path, strategy):
+        # lower + 1.0 (upper - lower) is 0.7000000000000002 here: a pick on the
+        # box's upper edge used to exit 3 with an invalid config.
+        space = {**SPACE, "continuous": [{"name": "x", "lower": -3.0, "upper": 0.7}]}
+        cfg = write_config(tmp_path, space=space, strategy=strategy, seeds=[0], B=4,
+                           T_rounds=10)
+        assert cli.main(["run", cfg]) == cli.EXIT_OK
+
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, quantil=0.4)
         assert cli.main(["run", cfg]) == cli.EXIT_CONFIG

@@ -10,6 +10,10 @@
 #     per batch) does not;
 #   - `run` of pb2-mix and pb2-mult on a space with 2 continuous and 2
 #     categorical parameters (B=12, T=25);
+#   - `run` of pb2-mult on sincos-switch V=3 (B=16, T=18), the setting of
+#     perfbench's mult-switch-b16 workload; it gives pb2-mult several agents
+#     on one arm, so pb2-mult appends to its continuous-only models and
+#     extends kept candidate sets, which it does in no other config here;
 #   - `run` of pb2-mix from a config that sets every optional field, each
 #     away from its default: quantile 0.5 at an even B, all four acquisition
 #     keys (n_refine_steps 3 grid levels, against the default 2),
@@ -50,6 +54,10 @@ for strategy in pb2-mix pb2-mult; do
  "seeds": [0, 1], "B": 12, "T_rounds": 25}
 EOF
 done
+cat > "$tmp/configs/run-mult-switch.json" <<EOF
+{"space": $sincos_space, "objective": "sincos-switch", "objective_args": {"V": 3},
+ "strategy": "pb2-mult", "seeds": [0, 1], "B": 16, "T_rounds": 18}
+EOF
 cat > "$tmp/configs/run-every-field.json" <<EOF
 {"space": $sincos_space, "objective": "sincos-switch", "objective_args": {"V": 2},
  "strategy": "pb2-mix", "strategies": ["random"], "seeds": [0, 1], "B": 6, "T_rounds": 20,
