@@ -83,11 +83,12 @@ def select_batch_continuous(
 ) -> list[np.ndarray]:
     """Sequentially maximize mu_frozen(x) + sqrt(beta_t) * sigma_b(x) over the box.
 
-    fixed_h, when given, is a length-`batch` list of integer category codes: the
-    b-th pick queries the mixed kernel with that assignment fixed, and the
-    hallucinated point carries it. Returns raw-scale vectors, one per pick.
-    Ties in the candidate scores resolve to the lowest candidate index, so the
-    result is deterministic given (model, seed, cfg).
+    fixed_h, when given, holds one sequence of integer category codes per pick
+    (as `SearchSpace.encode_h` gives them): the b-th pick queries the mixed
+    kernel with that assignment fixed, and the hallucinated point carries it.
+    Returns raw-scale vectors, one per pick. Ties in the candidate scores
+    resolve to the lowest candidate index, so the result is deterministic
+    given (model, seed, cfg).
     """
     if not params:
         raise ValueError("need at least one continuous dimension")
@@ -100,7 +101,7 @@ def select_batch_continuous(
     posterior = _BatchPosterior(model, U, t + 1)
     picks = []
     for b in range(batch):
-        hq = None if fixed_h is None else np.asarray(fixed_h[b], dtype=int)
+        hq = None if fixed_h is None else fixed_h[b]
         mu, var = posterior.candidates(hq)
         scores = mu + sqrt_beta * np.sqrt(var)
         best = int(np.argmax(scores))
@@ -119,9 +120,5 @@ def select_batch_continuous(
                 lo, hi = max(lo, u[j] - step), min(hi, u[j] + step)
         if b + 1 < batch:  # the last pick's hallucination would be read by nothing
             posterior.append(u, hq)
-        x = _from_unit(u, params)
-        for p, v in zip(params, x):
-            if not p.lower - 1e-12 <= v <= p.upper + 1e-12:
-                raise RuntimeError(f"acquisition produced out-of-bounds value for {p.name}")
-        picks.append(x)
+        picks.append(_from_unit(u, params))
     return picks

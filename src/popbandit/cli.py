@@ -19,6 +19,7 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -213,30 +214,24 @@ def _load_config(path: str, overrides: dict | None, strategy_field: str):
         return None
 
 
-def _run_one_seed(args):
-    space, objective, strategy_name, B, T_rounds, quantile, acq, seed = args
-    return run_experiment(
-        space,
-        objective,
-        StrategyKind.from_name(strategy_name),
-        B,
-        T_rounds,
-        quantile=quantile,
-        seed=seed,
-        acq_cfg=acq,
-    )
+def _run_one_seed(cfg, strategy_name: str, seed: int) -> RunRecord:
+    """One seed of strategy_name under the checked config cfg (see `_load_config`)."""
+    return run_experiment(cfg.space, cfg.objective, StrategyKind.from_name(strategy_name),
+                          cfg.B, cfg.T_rounds, quantile=cfg.quantile, seed=seed,
+                          acq_cfg=cfg.acquisition)
 
 
-def _run_seeds(space, objective, strategy_name, B, T_rounds, quantile, acq, seeds):
-    jobs = [(space, objective, strategy_name, B, T_rounds, quantile, acq, s) for s in seeds]
-    workers = _max_workers(len(seeds))
+def _run_seeds(cfg, strategy_name: str) -> list[RunRecord]:
+    """Every seed of cfg under strategy_name, in order, on up to `_max_workers` processes."""
+    run = functools.partial(_run_one_seed, cfg, strategy_name)
+    workers = _max_workers(len(cfg.seeds))
     if workers == 1:
-        return [_run_one_seed(j) for j in jobs]
+        return list(map(run, cfg.seeds))
     # One BLAS thread per worker keeps workers x BLAS threads within the cores.
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
                                                 initializer=_blas.set_threads,
                                                 initargs=(1,)) as pool:
-        return list(pool.map(_run_one_seed, jobs))
+        return list(pool.map(run, cfg.seeds))
 
 
 def _run_csv_rows(record: RunRecord):
@@ -264,8 +259,7 @@ def cmd_run(config_path: str, overrides: dict | None = None) -> int:
     if cfg is None:
         return EXIT_CONFIG
     try:
-        records = _run_seeds(cfg.space, cfg.objective, cfg.strategy, cfg.B, cfg.T_rounds,
-                             cfg.quantile, cfg.acquisition, cfg.seeds)
+        records = _run_seeds(cfg, cfg.strategy)
         header = _run_csv_header(cfg.space)
         for record in records:
             path = os.path.join(cfg.output, f"run_{cfg.strategy}_seed{record.seed}.csv")
@@ -292,10 +286,7 @@ def cmd_compare(config_path: str, overrides: dict | None = None) -> int:
     try:
         means = {}
         for name in cfg.strategies:
-            records = _run_seeds(cfg.space, cfg.objective, name, cfg.B, cfg.T_rounds,
-                                 cfg.quantile, cfg.acquisition, cfg.seeds)
-            mean, _ = _summary(records)
-            means[name] = mean
+            means[name], _ = _summary(_run_seeds(cfg, name))
         path = os.path.join(cfg.output, "compare.csv")
         _atomic_write_csv(
             path,
@@ -347,15 +338,14 @@ def gradient_check(seed: int = 0, n_instances: int = 100, step: float = 1e-6):
     worst = None
     for k in range(n_instances):
         X, H, t, y, theta = _random_gradcheck_instance(rng)
-        model = gp.GPModel(X, H, t, y, theta)
-        analytic = gp.grad_log_marginal(model)
+        analytic = gp.grad_log_marginal(gp.GPModel(X, H, t, y, theta))
         base = theta.as_array()
         for i, name in enumerate(gp.PARAM_NAMES):
             up, dn = base.copy(), base.copy()
             up[i] += step
             dn[i] -= step
-            f_up = gp.log_marginal(model.with_theta(gp.GPHyperparams.from_array(up)))
-            f_dn = gp.log_marginal(model.with_theta(gp.GPHyperparams.from_array(dn)))
+            f_up = gp.log_marginal(gp.GPModel(X, H, t, y, gp.GPHyperparams.from_array(up)))
+            f_dn = gp.log_marginal(gp.GPModel(X, H, t, y, gp.GPHyperparams.from_array(dn)))
             fd = (f_up - f_dn) / (2 * step)
             rel = abs(analytic[i] - fd) / max(1.0, abs(fd))
             if rel > errors[name]:

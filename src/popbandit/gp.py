@@ -62,7 +62,6 @@ fixed by filtering.
 from __future__ import annotations
 
 import collections
-import copy
 import functools
 import logging
 import math
@@ -318,13 +317,6 @@ class GPModel:
             self.theta,
             self.bounds,
         )
-
-    def with_theta(self, theta: GPHyperparams) -> "GPModel":
-        """Same data under other hyperparameters; shares the pairwise structure."""
-        model = copy.copy(self)
-        model.theta = theta
-        model.__dict__.pop("_factorization", None)
-        return model
 
 
 class _CandidateSet(NamedTuple):
@@ -683,10 +675,3 @@ def fit(data_or_model: GPModel, init: GPHyperparams, seed: int = 0) -> GPHyperpa
         logger.warning("both hyperparameter ascents failed numerically; keeping init")
         return init
     return GPHyperparams.from_array(best_theta)
-
-
-def windowed(X, H, t, y):
-    """Keep only the most recent SLIDING_WINDOW observations (by insertion order)."""
-    if len(y) <= SLIDING_WINDOW:
-        return X, H, t, y
-    return X[-SLIDING_WINDOW:], H[-SLIDING_WINDOW:], t[-SLIDING_WINDOW:], y[-SLIDING_WINDOW:]

@@ -1,10 +1,11 @@
 """Population simulation loop over synthetic objectives, with regret accounting.
 
 Each round every agent is evaluated, the worst agents copy the best
-(truncation selection), replaced agents receive fresh configurations from the
-chosen explore strategy, and category rewards from the previous selection feed
-the bandit before the next one. Also includes a standalone bandit simulator
-for piecewise-stationary reward instances.
+(truncation selection), and replaced agents receive fresh configurations from
+the chosen explore strategy. A bandit strategy's `strategies.CategoryBandit`
+keeps its draw, and each round's normalized rewards go to its `learn` before
+the next draw. Also includes a standalone bandit simulator for
+piecewise-stationary reward instances.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .space import (
 )
 from .strategies import (
     BANDIT_STRATEGIES,
+    CategoryBandit,
     StrategyKind,
     check_truncation,
     exploit_truncation,
@@ -119,8 +121,9 @@ def run_experiment(
 ) -> RunRecord:
     """Run the full exploit/explore loop; deterministic given the seed.
 
-    Rewards fed back to the bandit are normalized population rewards of the
-    agents that ran each selected category, applied one round after selection.
+    A bandit strategy's `CategoryBandit` learns each round, before the
+    exploit step, from the normalized rewards of the agents it drew categories
+    for in the round before (see `CategoryBandit.learn`).
     The random-search baseline resamples every agent every round (so its
     per-round regret stays at the uniform-draw mean). Each GP keeps its
     hyperparameters in one cache for the whole run: it is refitted every
@@ -135,12 +138,9 @@ def run_experiment(
     data = Dataset(space)
     record = RunRecord(strategy=strategy.value, seed=seed)
 
-    uses_bandit = strategy in BANDIT_STRATEGIES
-    bandit_state = None
-    if uses_bandit:
-        bandit_B = min(n_replaced, space.n_arms)
-        bandit_state = bd.new_bandit(space.n_arms, bandit_B, T_rounds)
-    pending = None  # (selection, replaced agent indices) awaiting realized rewards
+    bandit = None
+    if strategy in BANDIT_STRATEGIES:
+        bandit = CategoryBandit(space.n_arms, n_replaced, T_rounds)
     gp_args = dict(acq_cfg=acq_cfg, theta_cache={})
 
     cum = 0.0
@@ -167,17 +167,8 @@ def run_experiment(
                 "cum_regret": cum,
             })
 
-        if pending is not None:
-            selection, replaced_idx = pending
-            norm = normalize_rewards(data)
-            base = len(data) - B  # first observation index of this round
-            g: dict[int, list[float]] = {}
-            for arm, agent_idx in zip(selection.arm_of_agent, replaced_idx):
-                g.setdefault(arm, []).append(float(norm[base + agent_idx]))
-            g_mean = {arm: float(np.mean(vals)) for arm, vals in g.items()}
-            bandit_state = bd.update(bandit_state, set(selection.arms), selection.p,
-                                     selection.cap, g_mean)
-            pending = None
+        if bandit is not None:
+            bandit.learn(normalize_rewards(data)[-B:])  # this round's rewards, by agent
 
         pairs = exploit_truncation(fvals, quantile, rng)
         for loser, winner in pairs:
@@ -189,13 +180,12 @@ def run_experiment(
             replaced = list(range(B))
         elif strategy is StrategyKind.PBT:
             parents = [configs[i] for i in replaced]
-            decision = explore_pbt(replaced, parents, space, rng)
+            decision = explore_pbt(parents, space, rng)
         elif strategy is StrategyKind.PB2_RAND:
             decision = explore_pb2_rand(data, replaced, space, t, rng, **gp_args)
         else:
             explore = explore_pb2_mult if strategy is StrategyKind.PB2_MULT else explore_pb2_mix
-            decision, selection = explore(data, bandit_state, replaced, space, t, rng, **gp_args)
-            pending = (selection, replaced)
+            decision = explore(data, bandit, replaced, space, t, rng, **gp_args)
 
         for idx, config in zip(replaced, decision):
             if not validate_config(space, config):

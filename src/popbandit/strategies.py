@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bandit as bd
 from .acquisition import AcquisitionConfig, select_batch_continuous
-from .gp import GPHyperparams, GPModel, fit, windowed
+from .gp import SLIDING_WINDOW, GPHyperparams, GPModel, fit
 from .space import (
     Config,
     Dataset,
@@ -47,14 +46,39 @@ class StrategyKind(enum.Enum):
 BANDIT_STRATEGIES = frozenset({StrategyKind.PB2_MULT, StrategyKind.PB2_MIX})
 
 
-@dataclass(frozen=True)
-class BanditSelection:
-    """What the harness needs to apply the delayed bandit update."""
+class CategoryBandit:
+    """TV.EXP3.M over a space's category assignments, with its last draw.
 
-    arms: frozenset
-    p: np.ndarray
-    cap: bd.CapResult
-    arm_of_agent: tuple[int, ...]  # selected arm index per replaced agent
+    It plays min(n_agents, n_arms) arms a round. `draw` selects the arms and
+    gives them to the replaced agents: in index order they take the arms in
+    ascending order, cycling when there are more agents than plays. `learn`
+    feeds back the rewards those agents realized: each drawn arm earns the
+    mean reward of the agents that ran it. Before the first draw `learn` does
+    nothing.
+    """
+
+    def __init__(self, n_arms: int, n_agents: int, T: int):
+        self.state = bd.new_bandit(n_arms, min(n_agents, n_arms), T)
+        self.arms = self.p = self.cap = None
+        self.agents = self.arm_of_agent = ()
+
+    def draw(self, agents, rng) -> tuple[int, ...]:
+        """Draws this round's arms and gives one to each agent; returns each agent's arm."""
+        self.arms, self.p, self.cap = bd.select_batch(self.state, rng)
+        ordered = sorted(self.arms)
+        self.agents = tuple(agents)
+        self.arm_of_agent = tuple(ordered[i % len(ordered)] for i in range(len(self.agents)))
+        return self.arm_of_agent
+
+    def learn(self, rewards) -> None:
+        """Update the weights from rewards[agent] in [0, 1] of the last draw's agents."""
+        if self.arms is None:
+            return
+        g: dict[int, list[float]] = {}
+        for arm, agent in zip(self.arm_of_agent, self.agents):
+            g.setdefault(arm, []).append(float(rewards[agent]))
+        self.state = bd.update(self.state, set(self.arms), self.p, self.cap,
+                               {arm: float(np.mean(vals)) for arm, vals in g.items()})
 
 
 # PBT perturbation conventions (the underlying framework specifies none).
@@ -80,7 +104,7 @@ def explore_random(space: SearchSpace, B: int, rng) -> list[Config]:
     return [sample_config(space, rng) for _ in range(B)]
 
 
-def explore_pbt(replaced_agents, parent_configs, space: SearchSpace, rng) -> list[Config]:
+def explore_pbt(parent_configs, space: SearchSpace, rng) -> list[Config]:
     """Perturb each parent: resample with prob 0.25, else scale x by 0.8 or 1.2."""
     out = []
     for parent in parent_configs:
@@ -105,59 +129,61 @@ REFIT_EVERY = 5
 
 
 def _model(data: Dataset, mixed: bool, theta_cache: dict, key, t_round, seed) -> GPModel:
-    """GP on the windowed columns of data, with normalized rewards as targets.
+    """GP on the last SLIDING_WINDOW rows of data; its targets are the rewards
+    normalized over all rows.
 
     H is kept only for a mixed model. The θ last fitted under key in theta_cache
     is reused for REFIT_EVERY rounds and then warm-starts the next fit; with
-    none cached, θ is fitted from the default. A fit stores (θ, t_round) under key.
+    none cached, θ is fitted from the default. A fit stores (θ, t_round) under
+    key, and the model is built anew under the fitted θ.
     """
     H = data.H if mixed else data.H[:, :0]
-    X, H, t, y = windowed(data.X, H, data.t, normalize_rewards(data))
+    X, H, t, y = (col[-SLIDING_WINDOW:] for col in (data.X, H, data.t, normalize_rewards(data)))
     cached = theta_cache.get(key)
     init = cached[0] if cached is not None else GPHyperparams()
     model = GPModel(X, H, t, y, init)
     if cached is not None and t_round - cached[1] < REFIT_EVERY:
         return model
-    # The fit reads the model's pairwise structure, and the fitted model shares it.
-    model = model.with_theta(fit(model, init, seed=seed))
-    theta_cache[key] = (model.theta, t_round)
-    return model
+    theta = fit(model, init, seed=seed)
+    theta_cache[key] = (theta, t_round)
+    return GPModel(X, H, t, y, theta)
 
 
-def _explore_pb2(data: Dataset, bandit_state, replaced_agents, space: SearchSpace, t: int,
-                 rng, per_arm: bool, acq_cfg: AcquisitionConfig | None = None,
-                 theta_cache: dict | None = None):
+def _explore_pb2(data: Dataset, bandit: CategoryBandit | None, replaced_agents,
+                 space: SearchSpace, t: int, rng, per_arm: bool,
+                 acq_cfg: AcquisitionConfig | None = None,
+                 theta_cache: dict | None = None) -> list[Config]:
     """The PB2 step shared by pb2-rand, pb2-mult and pb2-mix.
 
-    Categories come first: drawn at random when bandit_state is None, else one
-    bandit play per replaced agent. The data are then split into groups, one
-    per selected arm when per_arm, else one group of all rows. In ascending
-    arm order, a group with fewer than 2 rows (or a space with no continuous
-    parameter) draws x at random; any other draws a fit seed, fits a GP and
-    acquires one x per agent in the group. A GP over all rows sees the
+    Categories come first: drawn at random when bandit is None, else by
+    `bandit.draw`, which keeps the draw for the caller's `bandit.learn`. The
+    data are then split into groups, one per selected arm when per_arm, else
+    one group of all rows. In ascending arm order, a group with fewer than 2
+    rows (or a space with no continuous parameter) draws x at random; any
+    other draws a fit seed, fits a GP and acquires one x per agent in the
+    group. A GP over all rows sees the
     categories only when the bandit chose them (pb2-mix); pb2-rand's GP, like
     a per-arm GP, sees x and t alone. The public pb2 entry points pass acq_cfg
     and theta_cache through as keywords. A run passes one theta_cache for all
     its rounds, so each GP reuses its θ between refits (see `_model`); a call
     without one starts from an empty cache and so fits every GP it builds.
-    Returns (decision, selection or None).
+    Returns the decision, one config per replaced agent.
     """
     if theta_cache is None:
         theta_cache = {}
     acq_cfg = acq_cfg or AcquisitionConfig()
     B = len(replaced_agents)
-    if bandit_state is None:
-        selection = None
+    if bandit is None:
         hs = [_sample_h(space, rng) for _ in range(B)]
     else:
-        selection = _assign_arms(bandit_state, replaced_agents, rng)
+        arm_of_agent = bandit.draw(replaced_agents, rng)
         assignments = space.categorical_assignments()
-        hs = [assignments[arm] for arm in selection.arm_of_agent]
-    mixed = bandit_state is not None and not per_arm
+        hs = [assignments[arm] for arm in arm_of_agent]
+    mixed = bandit is not None and not per_arm
     groups = {None: list(range(B))}
     if per_arm:
         groups = {}
-        for slot, arm in enumerate(selection.arm_of_agent):
+        for slot, arm in enumerate(arm_of_agent):
             groups.setdefault(arm, []).append(slot)
     params = space.continuous
     xs: list = [None] * B
@@ -168,48 +194,39 @@ def _explore_pb2(data: Dataset, bandit_state, replaced_agents, space: SearchSpac
                 xs[slot] = _sample_x(params, rng)
             continue
         model = _model(sub, mixed, theta_cache, arm, t, int(rng.integers(2**31)))
-        fixed_h = [np.array(space.encode_h(hs[s]), dtype=int) for s in slots] if mixed else None
+        fixed_h = [space.encode_h(hs[s]) for s in slots] if mixed else None
         picks = select_batch_continuous(model, params, len(slots), t, acq_cfg, rng,
                                         fixed_h=fixed_h)
         for slot, x in zip(slots, picks):
             xs[slot] = tuple(x)
-    return [Config(x=x, h=h) for x, h in zip(xs, hs)], selection
+    return [Config(x=x, h=h) for x, h in zip(xs, hs)]
 
 
 def explore_pb2_rand(data: Dataset, replaced_agents, space: SearchSpace, t: int, rng,
                      **gp_args) -> list[Config]:
     """Random categories; continuous values from a GP that never sees them."""
-    return _explore_pb2(data, None, replaced_agents, space, t, rng, False, **gp_args)[0]
+    return _explore_pb2(data, None, replaced_agents, space, t, rng, False, **gp_args)
 
 
-def _assign_arms(bandit_state, replaced_agents, rng):
-    arms, p, cap = bd.select_batch(bandit_state, rng)
-    ordered = sorted(arms)
-    # Replaced agents in index order get arms in ascending order; if there are
-    # more agents than plays the assignment cycles.
-    arm_of_agent = tuple(ordered[i % len(ordered)] for i in range(len(replaced_agents)))
-    return BanditSelection(frozenset(arms), p, cap, arm_of_agent)
-
-
-def explore_pb2_mult(data: Dataset, bandit_state: bd.BanditState, replaced_agents,
-                     space: SearchSpace, t: int, rng, **gp_args):
+def explore_pb2_mult(data: Dataset, bandit: CategoryBandit, replaced_agents,
+                     space: SearchSpace, t: int, rng, **gp_args) -> list[Config]:
     """Bandit-selected categories, one GP per category on its filtered data.
 
-    Returns (decision, selection); the caller applies the bandit update once
-    the realized rewards are observed.
+    The bandit keeps its draw; the caller feeds the realized rewards back
+    through `bandit.learn`.
     """
-    return _explore_pb2(data, bandit_state, replaced_agents, space, t, rng, True, **gp_args)
+    return _explore_pb2(data, bandit, replaced_agents, space, t, rng, True, **gp_args)
 
 
-def explore_pb2_mix(data: Dataset, bandit_state: bd.BanditState, replaced_agents,
-                    space: SearchSpace, t: int, rng, **gp_args):
+def explore_pb2_mix(data: Dataset, bandit: CategoryBandit, replaced_agents,
+                    space: SearchSpace, t: int, rng, **gp_args) -> list[Config]:
     """Bandit-selected categories; one joint GP with the mixed kernel.
 
     The batch shares a single hallucination chain; each pick's category is
     fixed in the kernel query. The sum/product mixing weight is fitted by MAP
     alongside the other hyperparameters.
     """
-    return _explore_pb2(data, bandit_state, replaced_agents, space, t, rng, False, **gp_args)
+    return _explore_pb2(data, bandit, replaced_agents, space, t, rng, False, **gp_args)
 
 
 def check_truncation(B: int, quantile: float) -> int:

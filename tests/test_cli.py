@@ -1,3 +1,4 @@
+import argparse
 import copy
 import csv
 import json
@@ -47,7 +48,7 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def worker_blas_threads(_job):
+def worker_blas_threads(_cfg, _strategy_name, _seed):
     # Module level, so that the process pool can pickle it in place of a seed run.
     return _blas.get_threads()
 
@@ -179,7 +180,7 @@ class TestRunCommand:
             pytest.skip("no OpenBLAS thread setter found in this process")
         monkeypatch.setenv("POPBANDIT_THREADS", "2")
         monkeypatch.setattr(cli, "_run_one_seed", worker_blas_threads)
-        counts = cli._run_seeds(None, None, "random", 2, 1, 0.25, None, [0, 1])
+        counts = cli._run_seeds(argparse.Namespace(seeds=[0, 1]), "random")
         assert counts == [[1] * len(_blas.get_threads())] * 2
 
     def test_runtime_error_exit_code(self, tmp_path, monkeypatch):

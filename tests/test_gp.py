@@ -16,7 +16,6 @@ from popbandit.gp import (
     fit,
     grad_log_marginal,
     log_marginal,
-    windowed,
 )
 
 
@@ -274,21 +273,6 @@ class TestPosterior:
             assert np.allclose(mu1, mu2, atol=1e-10)
             assert np.allclose(v1, v2, atol=1e-10)
 
-    def test_with_theta_factors_afresh(self):
-        rng = np.random.default_rng(7)
-        X, H, t, y = random_dataset(rng, n=12)
-        theta_a, _ = random_theta(rng, 2)
-        theta_b, _ = random_theta(rng, 2)
-        Xq = rng.uniform(size=(5, 2))
-        Hq = rng.integers(0, 3, size=(5, 1))
-        model = GPModel(X, H, t, y, theta_a)
-        model.posterior(Xq, Hq, 31.0)  # factors K under theta_a
-        moved = model.with_theta(theta_b)
-        fresh = GPModel(X, H, t, y, theta_b)
-        for got, want in zip(moved.posterior(Xq, Hq, 31.0), fresh.posterior(Xq, Hq, 31.0)):
-            assert got.tobytes() == want.tobytes()
-        assert model.theta == theta_a
-
     @pytest.mark.parametrize("m, Hq", [(1, None), (2, None), (2, np.zeros((5, 1), dtype=int)),
                                        (1, np.zeros((5, 2), dtype=int))])
     def test_mixed_model_rejects_codes_of_another_width(self, m, Hq):
@@ -395,8 +379,10 @@ class TestGradient:
             plus, minus = theta0.copy(), theta0.copy()
             plus[i] += step
             minus[i] -= step
-            fp = log_marginal(model.with_theta(GPHyperparams.from_array(plus)))
-            fm = log_marginal(model.with_theta(GPHyperparams.from_array(minus)))
+            fp = log_marginal(GPModel(model.X, model.H, model.t, model.y,
+                                      GPHyperparams.from_array(plus)))
+            fm = log_marginal(GPModel(model.X, model.H, model.t, model.y,
+                                      GPHyperparams.from_array(minus)))
             fd[i] = (fp - fm) / (2 * step)
         return fd
 
@@ -852,23 +838,3 @@ class TestOpenblasLookup:
             "/site-packages/numpy.libs/libscipy_openblas64_-ff651d7f.so",
             "/usr/lib/x86_64-linux-gnu/openblas-pthread/libblas.so.3",
         ]
-
-
-class TestWindowed:
-    def test_short_data_unchanged(self):
-        X = np.zeros((5, 1))
-        H = np.zeros((5, 0), dtype=int)
-        t = np.arange(5.0)
-        y = np.arange(5.0)
-        out = windowed(X, H, t, y)
-        assert out[3] is y
-
-    def test_truncates_to_most_recent(self):
-        n = gp.SLIDING_WINDOW + 10
-        y = np.arange(float(n))
-        X = np.zeros((n, 1))
-        H = np.zeros((n, 0), dtype=int)
-        t = np.arange(float(n))
-        Xw, Hw, tw, yw = windowed(X, H, t, y)
-        assert len(yw) == gp.SLIDING_WINDOW
-        assert yw[0] == 10.0 and yw[-1] == n - 1

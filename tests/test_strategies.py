@@ -6,7 +6,7 @@ import pytest
 from popbandit import bandit as bd
 from popbandit import strategies
 from popbandit.acquisition import AcquisitionConfig
-from popbandit.gp import GPHyperparams, GPModel, fit
+from popbandit.gp import SLIDING_WINDOW, GPHyperparams, GPModel, fit
 from popbandit.space import (
     CategoricalParam,
     Config,
@@ -16,6 +16,7 @@ from popbandit.space import (
     validate_config,
 )
 from popbandit.strategies import (
+    CategoryBandit,
     StrategyKind,
     check_truncation,
     exploit_truncation,
@@ -83,7 +84,7 @@ class TestExplorePbt:
         resamples = 0
         n = 5000
         for _ in range(n):
-            child = explore_pbt([0], [parent], space, rng)[0]
+            child = explore_pbt([parent], space, rng)[0]
             if math.isclose(child.x[0], 0.4) or math.isclose(child.x[0], 0.6):
                 factor_hits += 1
             else:
@@ -96,7 +97,7 @@ class TestExplorePbt:
         rng = np.random.default_rng(3)
         parent = Config((math.pi / 2.0,), ("cos",))
         for _ in range(200):
-            child = explore_pbt([0], [parent], space, rng)[0]
+            child = explore_pbt([parent], space, rng)[0]
             assert validate_config(space, child)
 
     def test_category_resample_rate(self):
@@ -104,7 +105,7 @@ class TestExplorePbt:
         rng = np.random.default_rng(4)
         parent = Config((0.5,), ("sin",))
         flips = sum(
-            explore_pbt([0], [parent], space, rng)[0].h[0] == "cos"
+            explore_pbt([parent], space, rng)[0].h[0] == "cos"
             for _ in range(8000)
         )
         # Resampled with prob 0.25, then lands on the other label half the time.
@@ -161,6 +162,24 @@ class TestFittedModel:
         assert fits[1] == thetas[0] and fits[2] == thetas[5]
         assert thetas[1:5] == [thetas[0]] * 4 and cache[0][1] == 11
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_holds_the_last_window_of_rows(self, m):
+        space = sincos_space()
+        rng = np.random.default_rng(10)
+        data = Dataset(space)
+        n = SLIDING_WINDOW + 10
+        for t in range(1, n + 1):
+            # The largest reward lies before the window: only a normalization over all rows reads it.
+            data.append(t, sample_config(space, rng), 2.0 if t == 1 else float(rng.uniform()))
+        model = strategies._model(data, bool(m), {}, None, n + 1, seed=0)
+        reward = data.reward
+        y = (reward - reward.min()) / (reward.max() - reward.min())
+        assert model.n == SLIDING_WINDOW and model.y.max() < 1.0
+        assert model.y.tolist() == y[10:].tolist()
+        assert model.X.tolist() == data.X[10:].tolist()
+        assert model.H.tolist() == data.H[10:, :m].tolist()
+        assert model.t.tolist() == data.t[10:].tolist()
+
 
 class TestWithoutThetaCache:
     @pytest.mark.parametrize("explore, bandit", [(explore_pb2_rand, False),
@@ -178,7 +197,7 @@ class TestWithoutThetaCache:
             return real(model, init, **kwargs)
 
         monkeypatch.setattr(strategies, "fit", counting_fit)
-        args = (bd.new_bandit(2, 2, 20),) if bandit else ()
+        args = (CategoryBandit(2, 2, 20),) if bandit else ()
         per_call = []
         for t in (7, 8):
             before = len(fits)
@@ -189,21 +208,53 @@ class TestWithoutThetaCache:
         assert fits == [GPHyperparams()] * len(fits)
 
 
+class TestCategoryBandit:
+    def test_plays_at_most_one_arm_per_agent(self):
+        assert CategoryBandit(3, 5, 10).state.B == 3
+        assert CategoryBandit(5, 2, 10).state.B == 2
+
+    def test_learn_before_any_draw_changes_nothing(self):
+        bandit = CategoryBandit(3, 2, 10)
+        weights = bandit.state.weights.copy()
+        bandit.learn([1.0, 0.0, 1.0])
+        assert bandit.state.weights.tobytes() == weights.tobytes()
+        assert bandit.state.round == 0
+
+    def test_draw_cycles_through_the_arms_in_ascending_order(self):
+        bandit = CategoryBandit(5, 2, 10)
+        agents = [4, 1, 3, 0, 2]
+        arm_of_agent = bandit.draw(agents, np.random.default_rng(0))
+        low, high = sorted(bandit.arms)
+        assert arm_of_agent == (low, high, low, high, low)
+        assert bandit.arm_of_agent == arm_of_agent and bandit.agents == tuple(agents)
+
+    def test_learn_updates_with_each_arms_mean_reward(self):
+        bandit = CategoryBandit(5, 2, 10)
+        rng = np.random.default_rng(1)
+        for rewards in ([0.1, 0.9, 0.4, 0.7], [0.3, 0.2, 1.0, 0.6]):
+            low, high, _ = bandit.draw([2, 0, 3], rng)  # agents 2 and 3 share the low arm
+            before = bandit.state
+            expected = bd.update(before, bandit.arms, bandit.p, bandit.cap,
+                                 {low: float(np.mean([rewards[2], rewards[3]])),
+                                  high: rewards[0]})
+            bandit.learn(rewards)
+            assert bandit.state.weights.tobytes() == expected.weights.tobytes()
+            assert bandit.state.round == before.round + 1
+
+
 class TestExplorePb2Mult:
-    def test_returns_selection_and_partitions_by_arm(self):
+    def test_draws_categories_and_partitions_by_arm(self):
         space = sincos_space()
         rng = np.random.default_rng(7)
         data = seeded_dataset(space, rng)
-        state = bd.new_bandit(space.n_arms, 2, 20)
-        decision, selection = explore_pb2_mult(
-            data, state, [0, 1], space, 7, rng, acq_cfg=ACQ)
+        bandit = CategoryBandit(space.n_arms, 2, 20)
+        decision = explore_pb2_mult(data, bandit, [0, 1], space, 7, rng, acq_cfg=ACQ)
         assert len(decision) == 2
-        assert len(selection.arm_of_agent) == 2
+        assert bandit.agents == (0, 1) and set(bandit.arm_of_agent) <= bandit.arms
         assignments = space.categorical_assignments()
-        for cfg, arm in zip(decision, selection.arm_of_agent):
+        for cfg, arm in zip(decision, bandit.arm_of_agent):
             assert cfg.h == assignments[arm]
             assert validate_config(space, cfg)
-        assert set(selection.arm_of_agent) <= set(selection.arms)
 
     def test_sparse_category_falls_back_to_random(self):
         space = sincos_space()
@@ -212,20 +263,18 @@ class TestExplorePb2Mult:
         # Only sin observations; a cos pick has < 2 filtered points.
         for t in range(1, 5):
             data.append(t, Config((0.3,), ("sin",)), math.sin(0.3))
-        state = bd.new_bandit(2, 2, 20)
-        decision, _ = explore_pb2_mult(data, state, [0, 1], space, 5, rng,
-                                       acq_cfg=ACQ)
+        decision = explore_pb2_mult(data, CategoryBandit(2, 2, 20), [0, 1], space, 5, rng,
+                                    acq_cfg=ACQ)
         assert all(validate_config(space, c) for c in decision)
 
     def test_cycles_when_more_agents_than_plays(self):
         space = sincos_space()
         rng = np.random.default_rng(9)
         data = seeded_dataset(space, rng)
-        state = bd.new_bandit(2, 1, 20)
-        decision, selection = explore_pb2_mult(
-            data, state, [0, 1, 2], space, 7, rng, acq_cfg=ACQ)
-        assert len(set(selection.arm_of_agent)) == 1  # single play reused
-        assert len(decision) == 3
+        bandit = CategoryBandit(2, 1, 20)
+        decision = explore_pb2_mult(data, bandit, [0, 1, 2], space, 7, rng, acq_cfg=ACQ)
+        assert len(set(bandit.arm_of_agent)) == 1  # single play reused
+        assert len({cfg.h for cfg in decision}) == 1 and len(decision) == 3
 
 
 class TestExplorePb2Mix:
@@ -233,22 +282,20 @@ class TestExplorePb2Mix:
         space = sincos_space()
         rng = np.random.default_rng(10)
         data = seeded_dataset(space, rng)
-        state = bd.new_bandit(2, 2, 20)
-        decision, selection = explore_pb2_mix(
-            data, state, [0, 1], space, 7, rng, acq_cfg=ACQ)
+        bandit = CategoryBandit(2, 2, 20)
+        decision = explore_pb2_mix(data, bandit, [0, 1], space, 7, rng, acq_cfg=ACQ)
         assignments = space.categorical_assignments()
-        for cfg, arm in zip(decision, selection.arm_of_agent):
+        for cfg, arm in zip(decision, bandit.arm_of_agent):
             assert cfg.h == assignments[arm]
             assert validate_config(space, cfg)
 
     def test_cold_start(self):
         space = sincos_space()
         rng = np.random.default_rng(11)
-        state = bd.new_bandit(2, 2, 20)
-        decision, selection = explore_pb2_mix(
-            Dataset(space), state, [0, 1], space, 1, rng, acq_cfg=ACQ)
+        bandit = CategoryBandit(2, 2, 20)
+        decision = explore_pb2_mix(Dataset(space), bandit, [0, 1], space, 1, rng, acq_cfg=ACQ)
         assert all(validate_config(space, c) for c in decision)
-        assert len(selection.arm_of_agent) == 2
+        assert len(bandit.arm_of_agent) == 2
 
 
 class TestExploitTruncation:
