@@ -71,13 +71,12 @@ def cap_weights(state: BanditState) -> CapResult:
     Skipped entirely when gamma = 1 (pure exploration).
     """
     w = state.weights
-    no_cap = CapResult(w.copy(), frozenset(), 0.0)
     if state.gamma >= 1.0:
-        return no_cap
+        return CapResult(w.copy(), frozenset(), 0.0)
     eta = (1.0 / state.B - state.gamma / state.C) / (1.0 - state.gamma)
     total = w.sum()
     if w.max() < eta * total:
-        return no_cap
+        return CapResult(w.copy(), frozenset(), 0.0)
     # Sort descending: capping the top-k leaves nu = sum(rest) / (1/eta - k).
     order = np.argsort(-w, kind="stable")
     ws = w[order]
@@ -121,8 +120,16 @@ def depround(B: int, p: np.ndarray, rng: np.random.Generator) -> set[int]:
     them until one settles at 0 or 1. A step changes only those two, so the
     survivors of the pair go back on top of the others, still in index order:
     the same pairs as rescanning all C arms after every step, with the same
-    `rng.random()` draws and the same arithmetic. Each step settles at least one
-    coordinate, so a round is at most C steps of O(1) each: O(C), not O(C^2).
+    arithmetic. Each step settles at least one coordinate, so a round is at most
+    C steps of O(1) each: O(C), not O(C^2).
+
+    With F fractional coordinates a round makes at most F - 1 steps, so it draws
+    all its uniforms at once, `rng.random(F - 1)`, and uses them in step order:
+    the same doubles as one `rng.random()` per step. When a step settles both
+    coordinates of its pair, fewer steps remain; the round then restores the
+    generator's state from before the draw and draws exactly the uniforms it
+    used, which leaves `rng` where one draw per step would, buffered 32-bit
+    half included (`bit_generator.advance` would drop it). F <= 1 draws nothing.
     """
     p = np.asarray(p, dtype=float)
     if abs(p.sum() - B) > 1e-6:
@@ -133,21 +140,31 @@ def depround(B: int, p: np.ndarray, rng: np.random.Generator) -> set[int]:
     lo, hi = 1e-12, 1 - 1e-12
     # Fractional indices, lowest on top: the pair is always the top two.
     stack = [i for i in range(len(q) - 1, -1, -1) if lo < q[i] < hi]
-    while len(stack) >= 2:
-        i = stack.pop()
-        j = stack.pop()
-        pi, pj = q[i], q[j]
-        a = min(1.0 - pi, pj)
-        b = min(pi, 1.0 - pj)
-        if rng.random() < b / (a + b):
-            pi, pj = pi + a, pj - a
-        else:
-            pi, pj = pi - b, pj + b
-        q[i], q[j] = pi, pj
-        if lo < pj < hi:
-            stack.append(j)
-        if lo < pi < hi:
-            stack.append(i)
+    if len(stack) >= 2:
+        pop, append = stack.pop, stack.append
+        before = rng.bit_generator.state
+        draws = rng.random(len(stack) - 1).tolist()
+        for used, u in enumerate(draws):
+            if len(stack) < 2:
+                rng.bit_generator.state = before
+                rng.random(used)
+                break
+            i = pop()
+            j = pop()
+            pi, pj = q[i], q[j]
+            # a = min(1 - pi, pj) and b = min(pi, 1 - pj), as min() picks them.
+            x, y = 1.0 - pi, 1.0 - pj
+            a = pj if pj < x else x
+            b = y if y < pi else pi
+            if u < b / (a + b):
+                pi, pj = pi + a, pj - a
+            else:
+                pi, pj = pi - b, pj + b
+            q[i], q[j] = pi, pj
+            if lo < pj < hi:
+                append(j)
+            if lo < pi < hi:
+                append(i)
     if stack:
         # Single leftover fractional mass is rounding noise; snap it.
         q[stack[0]] = round(q[stack[0]])

@@ -591,6 +591,14 @@ class TestBanditSim:
                            "inclusion_0", "inclusion_1"]
         assert len(rows) == 81
 
+    def test_zero_regret_passes(self, capsys):
+        # C == B plays every arm every round: regret is 0 early and late.
+        rc = cli.main(["bandit-sim", "--C", "3", "--B", "3", "--T", "40", "--seeds", "0", "1"])
+        assert rc == cli.EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "per-round regret late (second half): 0\n" in stdout
+        assert "sublinear-proxy: pass" in stdout
+
     def test_bad_flags_are_config_error(self):
         assert cli.main(["bandit-sim", "--C", "1"]) == cli.EXIT_CONFIG
         assert cli.main(["bandit-sim", "--B", "5", "--C", "2"]) == cli.EXIT_CONFIG

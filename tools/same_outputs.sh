@@ -20,7 +20,12 @@
 #     objective_args, output (which --out overrides) and strategies;
 #   - `gradcheck`, the one command that prints `gp.log_marginal` and
 #     `gp.grad_log_marginal` (through their finite-difference errors);
-#   - `bandit-sim --C 4 --B 2 --T 200 --V 1 --seeds 0 1 2`, with its CSV.
+#   - `bandit-sim --C 4 --B 2 --T 200 --V 1 --seeds 0 1 2`, with its CSV;
+#   - `bandit-sim --C 64 --B 8 --T 2000 --V 3 --seeds 0 1 2`, with its CSV, the
+#     setting of perfbench's bandit-c64 workload: weights are capped in 11%
+#     of its rounds, and in round 1 (p = B/C = 0.125 for every arm) a
+#     dependent-rounding step settles both arms of its pair, which C=4 does
+#     not show.
 # Then compares every CSV and every command's stdout with `diff -r`; exits
 # non-zero on any difference. Writes only into a temporary directory.
 set -euo pipefail
@@ -80,12 +85,15 @@ outputs() {
                 python3 -m popbandit.cli "$command" "$config" --out "$dir" > "$dir/stdout.txt")
         done
         dir=$tmp/run/threads$threads
-        mkdir -p "$dir/gradcheck" "$dir/bandit-sim"
+        mkdir -p "$dir/gradcheck" "$dir/bandit-sim" "$dir/bandit-sim64"
         (cd "$tmp" && POPBANDIT_THREADS=$threads PYTHONPATH=$src \
             python3 -m popbandit.cli gradcheck > "$dir/gradcheck/stdout.txt")
         (cd "$tmp" && POPBANDIT_THREADS=$threads PYTHONPATH=$src \
             python3 -m popbandit.cli bandit-sim --C 4 --B 2 --T 200 --V 1 --seeds 0 1 2 \
                 --out "$dir/bandit-sim/sim.csv" > "$dir/bandit-sim/stdout.txt")
+        (cd "$tmp" && POPBANDIT_THREADS=$threads PYTHONPATH=$src \
+            python3 -m popbandit.cli bandit-sim --C 64 --B 8 --T 2000 --V 3 --seeds 0 1 2 \
+                --out "$dir/bandit-sim64/sim64.csv" > "$dir/bandit-sim64/stdout.txt")
     done
     mkdir -p "$tmp/out"
     mv "$tmp/run" "$tmp/out/$name"
