@@ -108,7 +108,12 @@ def cap_weights(state: BanditState) -> CapResult:
 def arm_probabilities(state: BanditState, cap: CapResult) -> np.ndarray:
     """p_c = B((1-gamma) w_c / sum(w) + gamma/C) on the capped weights."""
     w = cap.capped_weights
-    p = state.B * ((1.0 - state.gamma) * w / w.sum() + state.gamma / state.C)
+    # In place, with the same operations in the same order as
+    # B * ((1 - gamma) * w / sum(w) + gamma / C).
+    p = (1.0 - state.gamma) * w
+    p /= w.sum()
+    p += state.gamma / state.C
+    p *= state.B
     return p
 
 
@@ -117,11 +122,15 @@ def depround(B: int, p: np.ndarray, rng: np.random.Generator) -> set[int]:
 
     Pairwise dependent rounding (Gandhi et al., JACM 2006): repeatedly take the
     two lowest-indexed fractional coordinates and shift probability mass between
-    them until one settles at 0 or 1. A step changes only those two, so the
-    survivors of the pair go back on top of the others, still in index order:
-    the same pairs as rescanning all C arms after every step, with the same
-    arithmetic. Each step settles at least one coordinate, so a round is at most
-    C steps of O(1) each: O(C), not O(C^2).
+    them until one settles at 0 or 1. Each step settles at least one of its
+    pair, and the survivor stays below every untouched fractional index, so the
+    next pair is always that survivor (the carry) and the next fractional index
+    in ascending order. The round therefore walks the fractional indices once
+    with a carry: the same pairs as rescanning all C arms after every step, with
+    the same arithmetic. When a step settles both, the next index starts a
+    fresh carry without a step. A round is at most C steps of O(1): O(C), not
+    O(C^2). The chosen arms are inserted into the result in ascending order,
+    which fixes the set's iteration order.
 
     With F fractional coordinates a round makes at most F - 1 steps, so it draws
     all its uniforms at once, `rng.random(F - 1)`, and uses them in step order:
@@ -132,46 +141,58 @@ def depround(B: int, p: np.ndarray, rng: np.random.Generator) -> set[int]:
     half included (`bit_generator.advance` would drop it). F <= 1 draws nothing.
     """
     p = np.asarray(p, dtype=float)
-    if abs(p.sum() - B) > 1e-6:
-        raise ValueError(f"probabilities must sum to B={B}, got {p.sum()}")
-    if np.any(p < -1e-9) or np.any(p > 1 + 1e-9):
+    total = p.sum()
+    # Written so that NaN fails them.
+    if not abs(total - B) <= 1e-6:
+        raise ValueError(f"probabilities must sum to B={B}, got {total}")
+    if not (p.min() >= -1e-9 and p.max() <= 1 + 1e-9):
         raise ValueError("probabilities must lie in [0, 1]")
-    q = np.clip(p, 0.0, 1.0).tolist()
+    # Clipping to [0, 1] would change only entries that are not fractional,
+    # and their class (settled at 0 or at 1) is the same unclipped.
+    q = p.tolist()
     lo, hi = 1e-12, 1 - 1e-12
-    # Fractional indices, lowest on top: the pair is always the top two.
-    stack = [i for i in range(len(q) - 1, -1, -1) if lo < q[i] < hi]
-    if len(stack) >= 2:
-        pop, append = stack.pop, stack.append
+    ones = [i for i, v in enumerate(q) if v >= hi]
+    frac = [i for i, v in enumerate(q) if lo < v < hi]
+    ci = None
+    if frac:
         before = rng.bit_generator.state
-        draws = rng.random(len(stack) - 1).tolist()
-        for used, u in enumerate(draws):
-            if len(stack) < 2:
-                rng.bit_generator.state = before
-                rng.random(used)
-                break
-            i = pop()
-            j = pop()
-            pi, pj = q[i], q[j]
-            # a = min(1 - pi, pj) and b = min(pi, 1 - pj), as min() picks them.
-            x, y = 1.0 - pi, 1.0 - pj
+        draws = rng.random(len(frac) - 1).tolist()
+        used = 0
+        for j in frac:
+            if ci is None:
+                ci, c = j, q[j]
+                continue
+            pj = q[j]
+            # a = min(1 - c, pj) and b = min(c, 1 - pj), as min() picks them.
+            x, y = 1.0 - c, 1.0 - pj
             a = pj if pj < x else x
-            b = y if y < pi else pi
-            if u < b / (a + b):
-                pi, pj = pi + a, pj - a
+            b = y if y < c else c
+            if draws[used] < b / (a + b):
+                c, pj = c + a, pj - a
             else:
-                pi, pj = pi - b, pj + b
-            q[i], q[j] = pi, pj
+                c, pj = c - b, pj + b
+            used += 1
+            if lo < c < hi:
+                if pj > 0.5:
+                    ones.append(j)
+                continue
+            if c > 0.5:
+                ones.append(ci)
             if lo < pj < hi:
-                append(j)
-            if lo < pi < hi:
-                append(i)
-    if stack:
-        # Single leftover fractional mass is rounding noise; snap it.
-        q[stack[0]] = round(q[stack[0]])
-    chosen = {i for i, v in enumerate(q) if v > 0.5}
-    if len(chosen) != B:
+                ci, c = j, pj
+            else:
+                if pj > 0.5:
+                    ones.append(j)
+                ci = None
+        if used < len(draws):
+            rng.bit_generator.state = before
+            rng.random(used)
+    # A single leftover fractional mass is rounding noise; snap it.
+    if ci is not None and round(c) > 0.5:
+        ones.append(ci)
+    if len(ones) != B:
         raise RuntimeError("dependent rounding failed to settle at exactly B arms")
-    return chosen
+    return set(sorted(ones))
 
 
 def select_batch(state: BanditState, rng: np.random.Generator):
@@ -204,7 +225,7 @@ def update(
     """
     if state.round >= state.T:
         raise ValueError("bandit horizon exhausted")
-    if set(g) - set(selected):
+    if g.keys() - selected:
         raise ValueError("reward provided for an arm outside the selected batch")
     for c, val in g.items():
         if not 0.0 <= val <= 1.0:
@@ -215,8 +236,9 @@ def update(
         if c not in cap.s0:
             w[c] = w[c] * math.exp(state.B * state.gamma * (g.get(c, 0.0) / p[c]) / state.C)
     w += additive
-    if w.max() > _WEIGHT_RESCALE_THRESHOLD:
-        w /= w.max()
+    top = w.max()
+    if top > _WEIGHT_RESCALE_THRESHOLD:
+        w /= top
     return BanditState(
         C=state.C,
         B=state.B,

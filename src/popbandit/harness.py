@@ -220,7 +220,8 @@ class BanditSimResult:
 def bandit_sim(table: np.ndarray, B: int, seeds) -> BanditSimResult:
     """Run TV.EXP3.M on a reward-probability table; report pseudo-regret stats."""
     table = np.asarray(table, dtype=float)
-    if np.any(table < 0) or np.any(table > 1):
+    # Written so that NaN fails it, with no T x C temporary.
+    if not (table.min() >= 0 and table.max() <= 1):
         raise ValueError("reward probabilities must be in [0, 1]")
     seeds = list(seeds)
     T, C = table.shape
@@ -239,9 +240,11 @@ def bandit_sim(table: np.ndarray, B: int, seeds) -> BanditSimResult:
             arms, p, cap = bd.select_batch(state, rng)
             # The picked arms' Bernoulli rewards, one uniform each in the set's order.
             picked = list(arms)
-            row = table[t].tolist()
-            g = {c: float(u < row[c]) for c, u in zip(picked, rng.random(len(picked)).tolist())}
-            regret[t] += best[t] - np.mean([row[c] for c in picked])
+            probs = table[t, picked]
+            g = {c: float(u < v) for c, u, v in
+                 zip(picked, rng.random(len(picked)).tolist(), probs.tolist())}
+            # The pairwise sum that np.mean makes, in the same order.
+            regret[t] += best[t] - np.add.reduce(probs) / len(picked)
             inclusion[t, picked] += 1.0
             state = bd.update(state, arms, p, cap, g)
     n = len(seeds)

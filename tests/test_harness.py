@@ -218,3 +218,5 @@ class TestBanditSim:
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValueError):
             bandit_sim(np.array([[1.2, 0.1]]), B=1, seeds=[0])
+        with pytest.raises(ValueError):
+            bandit_sim(np.array([[np.nan, 0.1]]), B=1, seeds=[0])

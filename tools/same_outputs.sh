@@ -25,7 +25,10 @@
 #     setting of perfbench's bandit-c64 workload: weights are capped in 11%
 #     of its rounds, and in round 1 (p = B/C = 0.125 for every arm) a
 #     dependent-rounding step settles both arms of its pair, which C=4 does
-#     not show.
+#     not show;
+#   - `bandit-sim --C 200 --B 50 --T 300 --V 2 --seeds 0 1`, with its CSV: at
+#     B/C = 1/4 dependent rounding carries one arm through chains of about 200
+#     steps, a shape neither smaller job covers.
 # Then compares every CSV and every command's stdout with `diff -r`; exits
 # non-zero on any difference. Writes only into a temporary directory.
 set -euo pipefail
@@ -85,7 +88,7 @@ outputs() {
                 python3 -m popbandit.cli "$command" "$config" --out "$dir" > "$dir/stdout.txt")
         done
         dir=$tmp/run/threads$threads
-        mkdir -p "$dir/gradcheck" "$dir/bandit-sim" "$dir/bandit-sim64"
+        mkdir -p "$dir/gradcheck" "$dir/bandit-sim" "$dir/bandit-sim64" "$dir/bandit-sim200"
         (cd "$tmp" && POPBANDIT_THREADS=$threads PYTHONPATH=$src \
             python3 -m popbandit.cli gradcheck > "$dir/gradcheck/stdout.txt")
         (cd "$tmp" && POPBANDIT_THREADS=$threads PYTHONPATH=$src \
@@ -94,6 +97,9 @@ outputs() {
         (cd "$tmp" && POPBANDIT_THREADS=$threads PYTHONPATH=$src \
             python3 -m popbandit.cli bandit-sim --C 64 --B 8 --T 2000 --V 3 --seeds 0 1 2 \
                 --out "$dir/bandit-sim64/sim64.csv" > "$dir/bandit-sim64/stdout.txt")
+        (cd "$tmp" && POPBANDIT_THREADS=$threads PYTHONPATH=$src \
+            python3 -m popbandit.cli bandit-sim --C 200 --B 50 --T 300 --V 2 --seeds 0 1 \
+                --out "$dir/bandit-sim200/sim200.csv" > "$dir/bandit-sim200/stdout.txt")
     done
     mkdir -p "$tmp/out"
     mv "$tmp/run" "$tmp/out/$name"
