@@ -5,11 +5,11 @@ batch, while each chosen point is hallucinated, so later picks see reduced
 variance there (the variance does not depend on targets). Following GP-BUCB
 (Desautels, Krause & Burdick, JMLR 2014), a hallucination appends one row to
 the model's Cholesky factor (`gp._BatchPosterior`). A batch draws one set U of
-random candidates; each category assignment among its picks pays one
-cross-kernel and one triangular solve over U, V = L^-1 K(rows, U), and a pick
-that reads an assignment again extends its V by one row per hallucination
-since, not by a new solve over U. The last pick is not
-hallucinated, because nothing reads it. Each pick's best candidate is refined
+random candidates (`n_candidates`, 250 by default); each category assignment
+among its picks pays one cross-kernel and one triangular solve over U,
+V = L^-1 K(rows, U), and a pick that reads an assignment again extends its V by
+one row per hallucination since, not by a new solve over U. The last pick is
+not hallucinated, because nothing reads it. Each pick's best candidate is refined
 one coordinate at a time on grids of 16 points, each grid one point-set query
 (`_BatchPosterior.points`, one triangular solve over its 16 columns): the first
 grid spans the coordinate's +-0.05 window, clipped to the box, and each further
@@ -34,13 +34,14 @@ _GRID = 16  # points per refinement grid
 
 @dataclass(frozen=True)
 class AcquisitionConfig:
-    """beta_t = c1 + c2 ln(t); n_candidates random candidates per batch; and
-    n_refine_steps grid levels per continuous coordinate when refining a pick
-    (0: the best candidate is the pick)."""
+    """beta_t = c1 + c2 ln(t); n_candidates random candidates per batch (250:
+    the refinement resolves a pick, so the candidates need only find its
+    basin); and n_refine_steps grid levels per continuous coordinate when
+    refining a pick (0: the best candidate is the pick)."""
 
     c1: float = 0.2
     c2: float = 0.4
-    n_candidates: int = 1000
+    n_candidates: int = 250
     n_refine_steps: int = 2
 
     def __post_init__(self):

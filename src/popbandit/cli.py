@@ -207,6 +207,15 @@ def _load_config(path: str, overrides: dict | None, strategy_field: str):
             raise ValueError(f"objective {objective!r} needs at least one continuous and one "
                              f"categorical parameter, the space has {len(space.continuous)} "
                              f"and {len(space.categorical)}")
+        # Regret is taken against f = 1, which needs both labels and cos(0) or sin(pi/2).
+        h, x = space.categorical[0], space.continuous[0]
+        if set(h.choices) != {"sin", "cos"}:
+            raise ValueError(f"objective {objective!r} scores the first categorical's labels, "
+                             f"so its choices must be 'sin' and 'cos', got {list(h.choices)}")
+        if not (x.lower <= 0.0 <= x.upper or x.lower <= math.pi / 2 <= x.upper):
+            raise ValueError(f"objective {objective!r} reaches its optimum 1 only at x = 0 or "
+                             f"pi/2, so the first continuous range must contain one of them, "
+                             f"got [{x.lower!r}, {x.upper!r}]")
         _threads_cap()  # checked here: `_max_workers` reads it only once the seeds run
         return argparse.Namespace(**cfg)
     except (ValueError, TypeError, OSError) as exc:

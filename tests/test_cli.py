@@ -354,6 +354,37 @@ class TestConfigRejectedAtParseTime:
         space = {**SPACE, "continuous": [{"name": "x", "lower": -1e308, "upper": 1e308}]}
         self.assert_config_error(tmp_path, capsys, "span must be finite", space=space)
 
+    @pytest.mark.parametrize("objective", ["sincos", "sincos-switch"])
+    @pytest.mark.parametrize("choices", [["a", "b"], ["sin", "tan"], ["sin", "cos", "tan"]])
+    def test_labels_the_objective_does_not_score(self, tmp_path, capsys, objective, choices):
+        # ["a", "b"] used to run, both labels scored as cos(x).
+        space = {**SPACE, "categorical": [{"name": "h", "choices": choices}]}
+        self.assert_config_error(tmp_path, capsys, "config error: objective "
+                                 f"'{objective}' scores the first categorical's labels",
+                                 space=space, objective=objective)
+
+    @pytest.mark.parametrize("objective", ["sincos", "sincos-switch"])
+    @pytest.mark.parametrize("lower, upper", [(2.0, 3.0), (0.1, 1.5), (-2.0, -0.5)])
+    def test_range_where_the_optimum_is_out_of_reach(self, tmp_path, capsys, objective,
+                                                     lower, upper):
+        # [2, 3] used to run with f <= sin(2) = 0.909, yet every round logged
+        # regret against 1.
+        space = {**SPACE, "continuous": [{"name": "x", "lower": lower, "upper": upper}]}
+        self.assert_config_error(tmp_path, capsys, "so the first continuous range must "
+                                 "contain one of them", space=space, objective=objective)
+
+    @pytest.mark.parametrize("continuous, choices", [
+        ({"lower": 0.0, "upper": 0.5}, ["cos", "sin"]),
+        ({"lower": math.pi / 2, "upper": 3.0}, ["sin", "cos"]),
+        ({"lower": -1.0, "upper": 0.0}, ["sin", "cos"]),
+    ])
+    def test_space_where_the_optimum_is_reached_runs(self, tmp_path, continuous, choices):
+        space = {"continuous": [{"name": "x", **continuous}],
+                 "categorical": [{"name": "h", "choices": choices}]}
+        for objective in ("sincos", "sincos-switch"):
+            cfg = write_config(tmp_path, space=space, objective=objective)
+            assert cli.main(["run", cfg]) == cli.EXIT_OK
+
     @pytest.mark.parametrize("V", [True, 1.5, "1", None, [1]])
     def test_objective_argument_of_wrong_type(self, tmp_path, capsys, V):
         self.assert_config_error(tmp_path, capsys, "objective_args V must be of type int",

@@ -5,9 +5,14 @@
 #        (REV defaults to HEAD, FIRST_SEED to 0)
 #
 # Runs 20 seeds, FIRST_SEED to FIRST_SEED+19 (by default the acceptance
-# suite's seeds 0-19), at B=4, T=50, of pb2-rand, pb2-mult and pb2-mix on
-# sincos and on sincos-switch V=1 with `popbandit run`, on both trees. For
-# each of the 6 settings it prints every seed's final cumulative regret
+# suite's seeds 0-19), of 9 settings with `popbandit run`, on both trees:
+#   - pb2-rand, pb2-mult and pb2-mix on sincos and on sincos-switch V=1
+#     (B=4, T=50; one pick per batch);
+#   - pb2-mult on sincos-switch V=3 (B=16, T=18), the setting of perfbench's
+#     mult-switch-b16 workload, where several picks of a batch share an arm;
+#   - pb2-mult and pb2-mix on same_outputs.sh's space with 2 continuous and 2
+#     categorical parameters (B=12, T=25), the one setting with d = 2.
+# For each setting it prints every seed's final cumulative regret
 # difference, working tree minus REV (negative: the working tree's regret is
 # lower), and their paired mean +- standard error. Use it to decide a change
 # that alters the picks or the GP's fitted hyperparameters; a FIRST_SEED past
@@ -27,15 +32,26 @@ git -C "$repo" archive "$rev" src | tar -x -C "$tmp/rev"
 seeds="[$(seq -s ', ' "$first" $((first + 19)))]"
 space='{"continuous": [{"name": "x", "lower": 0.0, "upper": 1.5707963267948966}],
         "categorical": [{"name": "h", "choices": ["sin", "cos"]}]}'
+wide_space='{"continuous": [{"name": "x", "lower": 0.0, "upper": 1.5707963267948966},
+                            {"name": "z", "lower": -1.0, "upper": 1.0}],
+             "categorical": [{"name": "h", "choices": ["sin", "cos"]},
+                             {"name": "g", "choices": ["a", "b", "c"]}]}'
+
+# config SETTING SPACE OBJECTIVE OBJECTIVE_ARGS B T: the config of SETTING,
+# named STRATEGY@WHERE.
+config() {
+    cat > "$tmp/configs/$1.json" <<EOF
+{"space": $2, "objective": "$3", "objective_args": $4, "strategy": "${1%%@*}",
+ "seeds": $seeds, "B": $5, "T_rounds": $6}
+EOF
+}
 for strategy in pb2-rand pb2-mult pb2-mix; do
-    cat > "$tmp/configs/$strategy@sincos.json" <<EOF
-{"space": $space, "objective": "sincos", "strategy": "$strategy",
- "seeds": $seeds, "B": 4, "T_rounds": 50}
-EOF
-    cat > "$tmp/configs/$strategy@sincos-switch.json" <<EOF
-{"space": $space, "objective": "sincos-switch", "objective_args": {"V": 1},
- "strategy": "$strategy", "seeds": $seeds, "B": 4, "T_rounds": 50}
-EOF
+    config "$strategy@sincos" "$space" sincos '{}' 4 50
+    config "$strategy@sincos-switch" "$space" sincos-switch '{"V": 1}' 4 50
+done
+config "pb2-mult@switch-b16" "$space" sincos-switch '{"V": 3}' 16 18
+for strategy in pb2-mult pb2-mix; do
+    config "$strategy@wide-b12" "$wide_space" sincos '{}' 12 25
 done
 
 # runs TREE NAME: every setting's run CSVs under $tmp/out/NAME/<setting>/.
@@ -63,8 +79,7 @@ def final_regret(path):
         return float(list(csv.DictReader(f))[-1]["cum_regret"])
 
 
-print(f"final cumulative regret, working tree minus {rev}, seeds {first}-{first + 19} "
-      "(B=4, T=50)")
+print(f"final cumulative regret, working tree minus {rev}, seeds {first}-{first + 19}")
 for setting in sorted(p.name for p in (out / "work").iterdir()):
     strategy = setting.split("@")[0]
     diffs = [final_regret(out / "work" / setting / f"run_{strategy}_seed{s}.csv")
