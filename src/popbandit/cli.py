@@ -421,7 +421,7 @@ def cmd_banditsim(C: int, B: int, T: int, V: int, seeds: list[int],
     if V >= 1:
         # Inclusion frequency of the arm that became best after the last swap.
         final_best = int(np.argmax(table[-1]))
-        quarter = result.inclusion_freq[3 * T // 4:, final_best].mean() / B
+        quarter = result.inclusion_freq[3 * T // 4:, final_best].mean()
         print(f"tracking-frequency (final quarter, arm {final_best}): {_fmt(float(quarter))}")
     return EXIT_OK
 

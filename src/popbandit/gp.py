@@ -3,13 +3,12 @@
 The kernel is a lambda-weighted sum/product combination of a squared-exponential
 factor on continuous values and an overlap factor on categorical labels, each
 multiplied by a time-decay factor (1 - eps)^(|t-t'|/2). Hyperparameters are fit
-by MAP (uniform prior over a bound box, so effectively bounded MLE) with
-L-BFGS in sigmoid coordinates, theta = lo + (hi - lo) sigma(z), on analytic
-gradients; `fit` runs one ascent from the given init and one from a random
-start, and keeps the better. An ascent stops at a stationary point: when the
-gradient's inf-norm in z falls below 1e-5, or when an iteration gains less
-than about 2e-9 of the LML (scipy's default factr), else after 100
-iterations. Bounds are kept active as in L-BFGS-B: a parameter within 1e-6
+by maximum likelihood within a bound box, with L-BFGS in sigmoid coordinates,
+theta = lo + (hi - lo) sigma(z), on analytic gradients; `fit` runs one ascent
+warm-started from the model's theta and one from a random start, and keeps
+the better. An ascent stops at a stationary point: when the gradient's
+inf-norm in z falls below 1e-5, or when an iteration gains less than about
+2e-9 of the LML (scipy's default factr), else after 100 iterations. Bounds are kept active as in L-BFGS-B: a parameter within 1e-6
 of its range from a bound whose gradient points out of the box is held on that
 bound, z = +-37, and left out of the step, the curvature pairs and the gradient
 test until its gradient points inward; every line-search candidate's z is
@@ -112,10 +111,6 @@ class HyperparamBounds:
         lower = np.array([0.0, 0.0, 1e-3, 1e-3, 1e-3, 0.0, 1e-6])
         upper = np.array([0.5, 0.5, 10.0 * diam, 10.0, 10.0, 1.0, 1.0])
         return cls(lower, upper)
-
-    def log_prior(self) -> float:
-        # Uniform over the box: constant density 1/volume.
-        return -float(np.sum(np.log(self.upper - self.lower)))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         # Log-uniform draws for the scale-like parameters give better restart
@@ -244,13 +239,10 @@ class GPModel:
     """
 
     def __init__(self, X, H, t, y, theta: GPHyperparams, bounds: HyperparamBounds | None = None):
-        self.y = np.asarray(y, dtype=float).reshape(-1)
-        n = len(self.y)
-        X = np.asarray(X, dtype=float)
-        self.X = X if X.ndim == 2 else X.reshape(n, -1)
-        H = np.asarray(H, dtype=int)
-        self.H = H if H.ndim == 2 else (H.reshape(n, -1) if H.size else np.zeros((n, 0), dtype=int))
-        self.t = np.asarray(t, dtype=float).reshape(-1)
+        self.X = np.asarray(X, dtype=float)
+        self.H = np.asarray(H, dtype=int)
+        self.t = np.asarray(t, dtype=float)
+        self.y = np.asarray(y, dtype=float)
         self.theta = theta
         self.bounds = bounds if bounds is not None else HyperparamBounds.default(self.X.shape[1])
         self._d2, self._match, self._dt = _pairwise(self.X, self.H, self.t, self.X, self.H, self.t)
@@ -429,7 +421,7 @@ class _BatchPosterior:
 
 
 # ---------------------------------------------------------------------------
-# Log marginal likelihood, analytic gradient, MAP fitting
+# Log marginal likelihood, analytic gradient, fitting
 # ---------------------------------------------------------------------------
 
 class _Factor(NamedTuple):
@@ -461,10 +453,11 @@ def _factor(theta: np.ndarray, d2, match, dt, y: np.ndarray):
 
 
 def log_marginal(model: GPModel) -> float:
-    """MAP objective: Gaussian log-density of y plus the (constant) log prior."""
+    """Log marginal likelihood of y under the model's theta (GPML eq. 5.8), the
+    objective `fit` maximizes."""
     if model.n == 0:
         raise ValueError("log marginal requires a nonempty dataset")
-    return model._factorization[0] + model.bounds.log_prior()
+    return model._factorization[0]
 
 
 def _grad(theta: np.ndarray, d2, match, dt, factor: _Factor, alpha: np.ndarray) -> np.ndarray:
@@ -506,10 +499,7 @@ def _grad(theta: np.ndarray, d2, match, dt, factor: _Factor, alpha: np.ndarray) 
 
 
 def grad_log_marginal(model: GPModel) -> np.ndarray:
-    """Analytic gradient of log_marginal w.r.t. (eps1, eps2, l, s1, s2, lam, noise).
-
-    The uniform prior contributes zero gradient inside the bound box.
-    """
+    """Analytic gradient of log_marginal w.r.t. (eps1, eps2, l, s1, s2, lam, noise)."""
     if model.n == 0:
         raise ValueError("gradient requires a nonempty dataset")
     _, factor, alpha = model._factorization
@@ -548,7 +538,7 @@ _Z = 37.0
 
 
 def _ascend(theta0, bounds, d2, match, dt, y, max_iter=100):
-    """MAP ascent by L-BFGS in sigmoid coordinates, theta = lo + (hi - lo) sigma(z).
+    """LML ascent by L-BFGS in sigmoid coordinates, theta = lo + (hi - lo) sigma(z).
 
     The box becomes all of z-space, so every step is unconstrained. Each step
     goes along the two-loop L-BFGS direction and backtracks by safeguarded
@@ -644,26 +634,26 @@ def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
-def fit(data_or_model: GPModel, init: GPHyperparams, seed: int = 0) -> GPHyperparams:
-    """MAP hyperparameter fit on a model's data: one L-BFGS ascent from init and
-    one from a random start drawn from the bounds with the given seed.
+def fit(data_or_model: GPModel, seed: int = 0) -> GPHyperparams:
+    """Maximum-likelihood hyperparameters within the model's bound box: one
+    L-BFGS ascent warm-started from the model's theta and one from a random
+    start drawn from the bounds with the given seed.
 
     Each ascent (`_ascend`) stops at a stationary point or after 100 iterations
     (see the module docstring). The random start is kept although it roughly
     doubles a fit: a warm start held on a bound can stay trapped there, which
     the second ascent escapes.
 
-    The model supplies the data, the bounds and the pairwise structure; its own
-    theta is not read. The parameter is named data_or_model because
-    perfbench/tracing.py binds it by that name. With fewer than two
-    observations the init is returned unchanged. Returns the better theta of
-    the two; if both ascents fail numerically, returns init and logs a warning.
+    The parameter is named data_or_model because perfbench/tracing.py binds it
+    by that name. With fewer than two observations the model's theta is
+    returned unchanged. Returns the better theta of the two; if both ascents
+    fail numerically, returns the model's theta and logs a warning.
     """
     model = data_or_model
     if model.n < 2:
-        return init
+        return model.theta
 
-    starts = (init.as_array(), model.bounds.sample(np.random.default_rng(seed)))
+    starts = (model.theta.as_array(), model.bounds.sample(np.random.default_rng(seed)))
     best_theta, best_f = None, -math.inf
     with _blas.single_thread():
         for start in starts:
@@ -672,6 +662,6 @@ def fit(data_or_model: GPModel, init: GPHyperparams, seed: int = 0) -> GPHyperpa
             if theta is not None and report.lml > best_f:
                 best_theta, best_f = theta, report.lml
     if best_theta is None:
-        logger.warning("both hyperparameter ascents failed numerically; keeping init")
-        return init
+        logger.warning("both hyperparameter ascents failed numerically; keeping the model's theta")
+        return model.theta
     return GPHyperparams.from_array(best_theta)

@@ -88,7 +88,7 @@ def changepoint_objective(V: int, T: int) -> SyntheticObjective:
 
 OBJECTIVES: dict[str, Callable[..., SyntheticObjective]] = {
     "sincos": lambda **_kw: sincos_objective(),
-    "sincos-switch": lambda V=1, T=50, **_kw: changepoint_objective(V, T),
+    "sincos-switch": lambda T, V=1, **_kw: changepoint_objective(V, T),
 }
 
 # The keyword arguments each objective takes besides the round count T, and their types.
@@ -104,9 +104,6 @@ class RunRecord:
     seed: int
     rows: list[dict] = field(default_factory=list)
     cum_regret: list[float] = field(default_factory=list)
-
-    def final_cum_regret(self) -> float:
-        return self.cum_regret[-1] if self.cum_regret else 0.0
 
 
 def run_experiment(
@@ -128,7 +125,9 @@ def run_experiment(
     per-round regret stays at the uniform-draw mean). Each GP keeps its
     hyperparameters in one cache for the whole run: it is refitted every
     `strategies.REFIT_EVERY` rounds, warm-started from its last θ, by
-    `gp.fit` (one ascent from that θ and one from a random start).
+    `gp.fit` (one ascent from that θ and one from a random start). The run
+    returns as soon as the last round is recorded: no bandit update, exploit
+    or explore follows it, since nothing would read their decision.
     """
     n_replaced = check_truncation(B, quantile)
     rng = np.random.default_rng(seed)
@@ -166,6 +165,8 @@ def run_experiment(
                 "regret": regrets[b],
                 "cum_regret": cum,
             })
+        if t == T_rounds:
+            break
 
         if bandit is not None:
             bandit.learn(normalize_rewards(data)[-B:])  # this round's rewards, by agent
@@ -224,6 +225,8 @@ def bandit_sim(table: np.ndarray, B: int, seeds) -> BanditSimResult:
     if not (table.min() >= 0 and table.max() <= 1):
         raise ValueError("reward probabilities must be in [0, 1]")
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     T, C = table.shape
     regret = np.zeros(T)
     # The table is sorted in inclusion's buffer: a separate T x C temporary

@@ -68,8 +68,6 @@ class SearchSpace:
 
     def categorical_assignments(self) -> list[tuple[str, ...]]:
         """All full categorical assignments, in deterministic product order."""
-        if not self.categorical:
-            return [()]
         return [tuple(h) for h in itertools.product(*(p.choices for p in self.categorical))]
 
     @property

@@ -140,19 +140,17 @@ def _model(data: Dataset, mixed: bool, theta_cache: dict, key, t_round, seed) ->
     H = data.H if mixed else data.H[:, :0]
     X, H, t, y = (col[-SLIDING_WINDOW:] for col in (data.X, H, data.t, normalize_rewards(data)))
     cached = theta_cache.get(key)
-    init = cached[0] if cached is not None else GPHyperparams()
-    model = GPModel(X, H, t, y, init)
+    model = GPModel(X, H, t, y, cached[0] if cached is not None else GPHyperparams())
     if cached is not None and t_round - cached[1] < REFIT_EVERY:
         return model
-    theta = fit(model, init, seed=seed)
+    theta = fit(model, seed=seed)
     theta_cache[key] = (theta, t_round)
     return GPModel(X, H, t, y, theta)
 
 
 def _explore_pb2(data: Dataset, bandit: CategoryBandit | None, replaced_agents,
-                 space: SearchSpace, t: int, rng, per_arm: bool,
-                 acq_cfg: AcquisitionConfig | None = None,
-                 theta_cache: dict | None = None) -> list[Config]:
+                 space: SearchSpace, t: int, rng, per_arm: bool, *,
+                 acq_cfg: AcquisitionConfig, theta_cache: dict) -> list[Config]:
     """The PB2 step shared by pb2-rand, pb2-mult and pb2-mix.
 
     Categories come first: drawn at random when bandit is None, else by
@@ -165,13 +163,9 @@ def _explore_pb2(data: Dataset, bandit: CategoryBandit | None, replaced_agents,
     categories only when the bandit chose them (pb2-mix); pb2-rand's GP, like
     a per-arm GP, sees x and t alone. The public pb2 entry points pass acq_cfg
     and theta_cache through as keywords. A run passes one theta_cache for all
-    its rounds, so each GP reuses its θ between refits (see `_model`); a call
-    without one starts from an empty cache and so fits every GP it builds.
+    its rounds, so each GP reuses its θ between refits (see `_model`).
     Returns the decision, one config per replaced agent.
     """
-    if theta_cache is None:
-        theta_cache = {}
-    acq_cfg = acq_cfg or AcquisitionConfig()
     B = len(replaced_agents)
     if bandit is None:
         hs = [_sample_h(space, rng) for _ in range(B)]
@@ -223,8 +217,8 @@ def explore_pb2_mix(data: Dataset, bandit: CategoryBandit, replaced_agents,
     """Bandit-selected categories; one joint GP with the mixed kernel.
 
     The batch shares a single hallucination chain; each pick's category is
-    fixed in the kernel query. The sum/product mixing weight is fitted by MAP
-    alongside the other hyperparameters.
+    fixed in the kernel query. The sum/product mixing weight is fitted by
+    maximum likelihood alongside the other hyperparameters.
     """
     return _explore_pb2(data, bandit, replaced_agents, space, t, rng, False, **gp_args)
 

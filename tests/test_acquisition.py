@@ -585,7 +585,7 @@ class TestDefaultPickFindsTheUcbMaximum:
         X = rng.uniform(size=(n, d))
         H, t = np.zeros((n, 0), dtype=int), np.arange(1.0, n + 1.0)
         y = np.sin(3 * math.pi * X).sum(axis=1) + 0.05 * rng.normal(size=n)
-        theta = gp.fit(GPModel(X, H, t, y, GPHyperparams()), GPHyperparams(), seed=seed)
+        theta = gp.fit(GPModel(X, H, t, y, GPHyperparams()), seed=seed)
         model = GPModel(X, H, t, y, theta)
         params = tuple(ContinuousParam(f"x{j}", 0.0, 1.0) for j in range(d))
         cfg = AcquisitionConfig()

@@ -651,3 +651,18 @@ class TestBanditSim:
                        "--seeds", "0", "1"])
         assert rc == cli.EXIT_OK
         assert "tracking-frequency" in capsys.readouterr().out
+
+    def test_tracking_frequency_is_the_final_quarters_inclusion_mean(self, tmp_path, capsys):
+        # At B = 2 the final best arm is played in most rounds: a value divided by B would show.
+        out = str(tmp_path / "sim.csv")
+        rc = cli.main(["bandit-sim", "--C", "4", "--B", "2", "--T", "200", "--V", "1",
+                       "--seeds", "0", "1", "2", "--out", out])
+        assert rc == cli.EXIT_OK
+        match = re.search(r"tracking-frequency \(final quarter, arm (\d+)\): (\S+)",
+                          capsys.readouterr().out)
+        arm, printed = int(match.group(1)), float(match.group(2))
+        rows = read_csv(out)
+        column = rows[0].index(f"inclusion_{arm}")
+        final_quarter = [float(row[column]) for row in rows[1 + 3 * 200 // 4:]]
+        assert printed == pytest.approx(sum(final_quarter) / len(final_quarter), rel=1e-9)
+        assert printed > 0.5

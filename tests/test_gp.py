@@ -348,7 +348,7 @@ class TestLogMarginal:
             K = gp._kernel_matrix(theta.as_array(), model._d2, model._match, model._dt)
             ref = multivariate_normal.logpdf(y, mean=np.zeros(len(y)),
                                              cov=K + theta.noise * np.eye(len(y)))
-            assert log_marginal(model) - bounds.log_prior() == pytest.approx(ref, abs=1e-8)
+            assert log_marginal(model) == pytest.approx(ref, abs=1e-8)
 
     def test_continuous_only_matches_scipy(self):
         rng = np.random.default_rng(11)
@@ -361,7 +361,7 @@ class TestLogMarginal:
         K = gp._kernel_matrix(theta.as_array(), model._d2, None, model._dt)
         ref = multivariate_normal.logpdf(y, mean=np.zeros(7),
                                          cov=K + theta.noise * np.eye(7))
-        assert log_marginal(model) - bounds.log_prior() == pytest.approx(ref, abs=1e-8)
+        assert log_marginal(model) == pytest.approx(ref, abs=1e-8)
 
     def test_empty_raises(self):
         model = GPModel(np.zeros((0, 1)), np.zeros((0, 0), dtype=int),
@@ -471,12 +471,11 @@ class TestGradientOracle:
 
 
 class TestFit:
-    def test_fewer_than_two_returns_init(self):
-        init = GPHyperparams(lengthscale=2.5)
+    def test_fewer_than_two_returns_the_models_theta(self):
+        theta = GPHyperparams(lengthscale=2.5)
         X = np.array([[0.5]])
-        model = GPModel(X, np.zeros((1, 0), dtype=int), np.array([1.0]), np.array([0.2]), init)
-        out = fit(model, init)
-        assert out == init
+        model = GPModel(X, np.zeros((1, 0), dtype=int), np.array([1.0]), np.array([0.2]), theta)
+        assert fit(model) == theta
 
     def test_improves_objective(self):
         rng = np.random.default_rng(30)
@@ -487,7 +486,7 @@ class TestFit:
         init = GPHyperparams()
         bounds = HyperparamBounds.default(1)
         m_init = GPModel(X, H, t, y, init, bounds)
-        fitted = fit(m_init, init, seed=0)
+        fitted = fit(m_init, seed=0)
         m_fit = GPModel(X, H, t, y, fitted, bounds)
         assert log_marginal(m_fit) >= log_marginal(m_init) - 1e-9
 
@@ -496,12 +495,12 @@ class TestFit:
         X, H, t, y = random_dataset(rng, n=10)
         bounds = HyperparamBounds.default(2)
         model = GPModel(X, H, t, y, GPHyperparams(), bounds)
-        fitted = fit(model, GPHyperparams(), seed=1)
+        fitted = fit(model, seed=1)
         arr = fitted.as_array()
         assert np.all(arr >= bounds.lower - 1e-12)
         assert np.all(arr <= bounds.upper + 1e-12)
 
-    def test_ascends_from_init_then_from_one_random_start(self, monkeypatch):
+    def test_ascends_from_the_models_theta_then_from_one_random_start(self, monkeypatch):
         starts = []
         real = gp._ascend
 
@@ -510,18 +509,17 @@ class TestFit:
             return real(theta0, *args, **kwargs)
 
         monkeypatch.setattr(gp, "_ascend", spy)
-        init = GPHyperparams(lengthscale=0.3, noise=0.05)
-        model = GPModel(*sincos_dataset(20, seed=46), init)
-        fit(model, init, seed=5)
+        model = GPModel(*sincos_dataset(20, seed=46), GPHyperparams(lengthscale=0.3, noise=0.05))
+        fit(model, seed=5)
         assert len(starts) == 2
-        assert starts[0].tobytes() == init.as_array().tobytes()
+        assert starts[0].tobytes() == model.theta.as_array().tobytes()
         assert starts[1].tobytes() == model.bounds.sample(np.random.default_rng(5)).tobytes()
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(32)
         X, H, t, y = random_dataset(rng, n=8)
-        a = fit(GPModel(X, H, t, y, GPHyperparams()), GPHyperparams(), seed=7)
-        b = fit(GPModel(X, H, t, y, GPHyperparams()), GPHyperparams(), seed=7)
+        a = fit(GPModel(X, H, t, y, GPHyperparams()), seed=7)
+        b = fit(GPModel(X, H, t, y, GPHyperparams()), seed=7)
         assert a == b
 
 
@@ -675,7 +673,7 @@ class TestFitQuality:
         assert report.lml >= ASCENT_LML[mixed, n, seed]
         assert report.lml >= oracle_lml - 0.4
         model = GPModel(X, H, t, y, GPHyperparams.from_array(theta))
-        assert report.lml == pytest.approx(log_marginal(model) - model.bounds.log_prior(), abs=1e-9)
+        assert report.lml == pytest.approx(log_marginal(model), abs=1e-9)
 
     @pytest.mark.parametrize("kind, at_lower", [
         ("static", ("eps1",)),
@@ -715,7 +713,7 @@ class TestFitQuality:
         y = (y - y.min()) / (y.max() - y.min())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fitted = fit(GPModel(X, H, t, y, GPHyperparams()), GPHyperparams(), seed=0)
+            fitted = fit(GPModel(X, H, t, y, GPHyperparams()), seed=0)
         assert np.all(np.isfinite(fitted.as_array()))
 
 
@@ -786,7 +784,7 @@ class TestFitBlasThreads:
 
         monkeypatch.setattr(gp, "_ascend", spy)
         model = GPModel(*sincos_dataset(20, seed=42), GPHyperparams())
-        fit(model, GPHyperparams(), seed=0)
+        fit(model, seed=0)
         assert seen and all(counts == [1] * len(before) for counts in seen)
         assert _blas.get_threads() == before
 
@@ -799,7 +797,7 @@ class TestFitBlasThreads:
 
         monkeypatch.setattr(gp, "_ascend", boom)
         with pytest.raises(RuntimeError):
-            fit(GPModel(*sincos_dataset(20, seed=43), GPHyperparams()), GPHyperparams())
+            fit(GPModel(*sincos_dataset(20, seed=43), GPHyperparams()))
         assert _blas.get_threads() == before
 
     def test_same_theta_with_one_or_two_caller_threads(self, restore_blas_threads):
@@ -809,7 +807,7 @@ class TestFitBlasThreads:
         fits = []
         for threads in (1, 2):
             _blas.set_threads(threads)
-            theta = fit(model, GPHyperparams(), seed=0)
+            theta = fit(model, seed=0)
             fits.append(theta.as_array().tobytes())
         assert fits[0] == fits[1]
 

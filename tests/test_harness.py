@@ -1,3 +1,4 @@
+import collections
 import math
 import pickle
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from popbandit import harness
 from popbandit.acquisition import AcquisitionConfig
 from popbandit.harness import (
     OBJECTIVES,
@@ -23,7 +25,7 @@ from popbandit.space import (
     SearchSpace,
     validate_config,
 )
-from popbandit.strategies import StrategyKind
+from popbandit.strategies import BANDIT_STRATEGIES, StrategyKind
 
 FAST_ACQ = AcquisitionConfig(n_candidates=50, n_refine_steps=3)
 
@@ -101,18 +103,18 @@ class TestRunExperiment:
         recs = [run_experiment(sincos_space(), sincos_objective(),
                                StrategyKind.RANDOM, B=4, T_rounds=50, seed=s)
                 for s in range(5)]
-        per_round = np.mean([r.final_cum_regret() / 50 for r in recs])
+        per_round = np.mean([r.cum_regret[-1] / 50 for r in recs])
         assert per_round == pytest.approx(1.0 - 2.0 / math.pi, abs=0.03)
 
     def test_pbt_beats_random(self):
         random_cr = np.mean([
             run_experiment(sincos_space(), sincos_objective(),
-                           StrategyKind.RANDOM, B=4, T_rounds=30, seed=s).final_cum_regret()
+                           StrategyKind.RANDOM, B=4, T_rounds=30, seed=s).cum_regret[-1]
             for s in range(3)
         ])
         pbt_cr = np.mean([
             run_experiment(sincos_space(), sincos_objective(),
-                           StrategyKind.PBT, B=4, T_rounds=30, seed=s).final_cum_regret()
+                           StrategyKind.PBT, B=4, T_rounds=30, seed=s).cum_regret[-1]
             for s in range(3)
         ])
         assert pbt_cr < random_cr
@@ -126,6 +128,36 @@ class TestRunExperiment:
         b = run_experiment(sincos_space(), sincos_objective(), strategy, **kwargs)
         assert a.rows == b.rows
         assert len(a.rows) == 16
+
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    @pytest.mark.parametrize("T", [1, 3])
+    def test_no_decision_after_the_last_round(self, monkeypatch, strategy, T):
+        calls = collections.Counter()
+
+        def counted(name):
+            real = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls["explore" if name.startswith("explore") else name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(harness, name, wrapper)
+
+        for name in ("explore_random", "explore_pbt", "explore_pb2_rand", "explore_pb2_mult",
+                     "explore_pb2_mix", "exploit_truncation"):
+            counted(name)
+        real_learn = harness.CategoryBandit.learn
+
+        def learn(self, rewards):
+            calls["learn"] += 1
+            real_learn(self, rewards)
+        monkeypatch.setattr(harness.CategoryBandit, "learn", learn)
+        rec = run_experiment(sincos_space(), sincos_objective(), strategy, B=4, T_rounds=T,
+                             seed=0, acq_cfg=FAST_ACQ)
+        assert len(rec.cum_regret) == T
+        # The initial population, then one explore and one exploit per round but the last.
+        assert calls["explore"] == 1 + (T - 1)
+        assert calls["exploit_truncation"] == T - 1
+        assert calls["learn"] == (T - 1 if strategy in BANDIT_STRATEGIES else 0)
 
     def test_population_too_small(self):
         with pytest.raises(ValueError):
@@ -214,6 +246,10 @@ class TestBanditSim:
         table = bernoulli_swap_table(0.9, 0.1, T=20, V=0)
         res = bandit_sim(table, B=2, seeds=range(3))
         assert np.all(res.per_round_regret == 0.0)
+
+    def test_rejects_no_seeds(self):
+        with pytest.raises(ValueError, match="seed"):
+            bandit_sim(bernoulli_swap_table(0.9, 0.1, T=10), B=1, seeds=[])
 
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValueError):

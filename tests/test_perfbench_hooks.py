@@ -53,9 +53,9 @@ def test_traced_run_matches_and_records_each_layer(tracing, kind):
     assert traced.cum_regret == plain.cum_regret
 
     names = {span.name for span in tracer.spans}
-    # The initial population and then one explore step per round, one exploit per round.
-    assert len(tracer.named("strategies.explore")) == 1 + 5
-    assert len(tracer.named("strategies.exploit")) == 5
+    # The initial population, then one explore and one exploit per round but the last.
+    assert len(tracer.named("strategies.explore")) == 1 + 4
+    assert len(tracer.named("strategies.exploit")) == 4
     if kind in PB2:
         assert {"gp.fit", "acquisition.select", "space.normalize"} <= names
     if kind is StrategyKind.PB2_MULT:

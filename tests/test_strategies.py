@@ -116,7 +116,7 @@ class TestExplorePb2Rand:
     def test_cold_start_random(self):
         space = sincos_space()
         rng = np.random.default_rng(5)
-        out = explore_pb2_rand(Dataset(space), [0, 1], space, 1, rng, acq_cfg=ACQ)
+        out = explore_pb2_rand(Dataset(space), [0, 1], space, 1, rng, acq_cfg=ACQ, theta_cache={})
         assert len(out) == 2
         assert all(validate_config(space, c) for c in out)
 
@@ -124,8 +124,7 @@ class TestExplorePb2Rand:
         space = sincos_space()
         rng = np.random.default_rng(6)
         data = seeded_dataset(space, rng)
-        out = explore_pb2_rand(data, [0, 1, 2], space, 7, rng,
-                               acq_cfg=ACQ)
+        out = explore_pb2_rand(data, [0, 1, 2], space, 7, rng, acq_cfg=ACQ, theta_cache={})
         assert len(out) == 3
         assert all(validate_config(space, c) for c in out)
 
@@ -138,7 +137,7 @@ class TestFittedModel:
         model = strategies._model(data, bool(m), {}, None, 9, seed=3)
         y = strategies.normalize_rewards(data)
         H = data.H[:, :m]
-        expected = fit(GPModel(data.X, H, data.t, y, GPHyperparams()), GPHyperparams(), seed=3)
+        expected = fit(GPModel(data.X, H, data.t, y, GPHyperparams()), seed=3)
         assert model.theta == expected
         assert model.n == 32 and model.mixed == bool(m)
         assert model.H.tolist() == H.tolist() and model.y.tolist() == y.tolist()
@@ -149,9 +148,9 @@ class TestFittedModel:
         fits = []
         real = strategies.fit
 
-        def counting_fit(model, init, **kwargs):
-            fits.append(init)
-            return real(model, init, **kwargs)
+        def counting_fit(model, **kwargs):
+            fits.append(model.theta)
+            return real(model, **kwargs)
 
         monkeypatch.setattr(strategies, "fit", counting_fit)
         cache = {}
@@ -179,33 +178,6 @@ class TestFittedModel:
         assert model.X.tolist() == data.X[10:].tolist()
         assert model.H.tolist() == data.H[10:, :m].tolist()
         assert model.t.tolist() == data.t[10:].tolist()
-
-
-class TestWithoutThetaCache:
-    @pytest.mark.parametrize("explore, bandit", [(explore_pb2_rand, False),
-                                                 (explore_pb2_mult, True),
-                                                 (explore_pb2_mix, True)])
-    def test_each_call_fits_from_the_default(self, monkeypatch, explore, bandit):
-        space = sincos_space()
-        rng = np.random.default_rng(12)
-        data = seeded_dataset(space, rng)
-        fits = []
-        real = strategies.fit
-
-        def counting_fit(model, init, **kwargs):
-            fits.append(init)
-            return real(model, init, **kwargs)
-
-        monkeypatch.setattr(strategies, "fit", counting_fit)
-        args = (CategoryBandit(2, 2, 20),) if bandit else ()
-        per_call = []
-        for t in (7, 8):
-            before = len(fits)
-            explore(data, *args, [0, 1], space, t, rng, acq_cfg=ACQ)
-            per_call.append(len(fits) - before)
-        # Round 8 is within REFIT_EVERY of round 7, yet without a cache it fits again.
-        assert per_call[0] >= 1 and per_call[1] >= 1
-        assert fits == [GPHyperparams()] * len(fits)
 
 
 class TestCategoryBandit:
@@ -248,7 +220,8 @@ class TestExplorePb2Mult:
         rng = np.random.default_rng(7)
         data = seeded_dataset(space, rng)
         bandit = CategoryBandit(space.n_arms, 2, 20)
-        decision = explore_pb2_mult(data, bandit, [0, 1], space, 7, rng, acq_cfg=ACQ)
+        decision = explore_pb2_mult(data, bandit, [0, 1], space, 7, rng,
+                                    acq_cfg=ACQ, theta_cache={})
         assert len(decision) == 2
         assert bandit.agents == (0, 1) and set(bandit.arm_of_agent) <= bandit.arms
         assignments = space.categorical_assignments()
@@ -264,7 +237,7 @@ class TestExplorePb2Mult:
         for t in range(1, 5):
             data.append(t, Config((0.3,), ("sin",)), math.sin(0.3))
         decision = explore_pb2_mult(data, CategoryBandit(2, 2, 20), [0, 1], space, 5, rng,
-                                    acq_cfg=ACQ)
+                                    acq_cfg=ACQ, theta_cache={})
         assert all(validate_config(space, c) for c in decision)
 
     def test_cycles_when_more_agents_than_plays(self):
@@ -272,7 +245,8 @@ class TestExplorePb2Mult:
         rng = np.random.default_rng(9)
         data = seeded_dataset(space, rng)
         bandit = CategoryBandit(2, 1, 20)
-        decision = explore_pb2_mult(data, bandit, [0, 1, 2], space, 7, rng, acq_cfg=ACQ)
+        decision = explore_pb2_mult(data, bandit, [0, 1, 2], space, 7, rng,
+                                    acq_cfg=ACQ, theta_cache={})
         assert len(set(bandit.arm_of_agent)) == 1  # single play reused
         assert len({cfg.h for cfg in decision}) == 1 and len(decision) == 3
 
@@ -283,7 +257,7 @@ class TestExplorePb2Mix:
         rng = np.random.default_rng(10)
         data = seeded_dataset(space, rng)
         bandit = CategoryBandit(2, 2, 20)
-        decision = explore_pb2_mix(data, bandit, [0, 1], space, 7, rng, acq_cfg=ACQ)
+        decision = explore_pb2_mix(data, bandit, [0, 1], space, 7, rng, acq_cfg=ACQ, theta_cache={})
         assignments = space.categorical_assignments()
         for cfg, arm in zip(decision, bandit.arm_of_agent):
             assert cfg.h == assignments[arm]
@@ -293,7 +267,8 @@ class TestExplorePb2Mix:
         space = sincos_space()
         rng = np.random.default_rng(11)
         bandit = CategoryBandit(2, 2, 20)
-        decision = explore_pb2_mix(Dataset(space), bandit, [0, 1], space, 1, rng, acq_cfg=ACQ)
+        decision = explore_pb2_mix(Dataset(space), bandit, [0, 1], space, 1, rng,
+                                   acq_cfg=ACQ, theta_cache={})
         assert all(validate_config(space, c) for c in decision)
         assert len(bandit.arm_of_agent) == 2
 

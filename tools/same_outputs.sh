@@ -5,6 +5,8 @@
 #
 # Runs, on both trees and at POPBANDIT_THREADS 1 and 2:
 #   - a 5-strategy x 3-seed `compare` on sincos (B=4, T=50);
+#   - the same with T=1: the run records the initial population and returns,
+#     with no exploit or explore after it;
 #   - the same on sincos-switch V=2 (B=8, T=30); with batches of 2 picks it
 #     runs hallucinated appends and kept candidate sets, which B=4 (one pick
 #     per batch) does not;
@@ -51,6 +53,10 @@ wide_space='{"continuous": [{"name": "x", "lower": 0.0, "upper": 1.5707963267948
 cat > "$tmp/configs/compare-sincos.json" <<EOF
 {"space": $sincos_space, "objective": "sincos", "strategies": $strategies,
  "seeds": [0, 1, 2], "B": 4, "T_rounds": 50}
+EOF
+cat > "$tmp/configs/compare-sincos-t1.json" <<EOF
+{"space": $sincos_space, "objective": "sincos", "strategies": $strategies,
+ "seeds": [0, 1, 2], "B": 4, "T_rounds": 1}
 EOF
 cat > "$tmp/configs/compare-switch.json" <<EOF
 {"space": $sincos_space, "objective": "sincos-switch", "objective_args": {"V": 2},
