@@ -10,8 +10,12 @@ Configs are JSON, outputs are CSV. This module owns the config schema: each
 JSON object of a config is checked against its table by `_checked` before any
 seed runs. Floats are printed with 10 significant digits. Files are written
 to a temp path and renamed on success, so a failed run leaves no partial
-output. POPBANDIT_THREADS caps parallel seeds; each seed worker runs on one
-BLAS thread.
+output; `run` and `compare` create and test-write the output directory
+before the first seed, so a path that cannot be written fails at once.
+POPBANDIT_THREADS caps parallel seeds; each seed worker runs on one BLAS
+thread. Only a command that fits a GP (`gradcheck`, and `run` or `compare`
+of a pb2-* strategy) imports scipy; for a pb2-* strategy the parent imports
+it before it forks the seed workers.
 """
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ from .harness import (
     run_experiment,
 )
 from .space import CategoricalParam, ContinuousParam, SearchSpace
-from .strategies import BANDIT_STRATEGIES, StrategyKind, check_truncation
+from .strategies import BANDIT_STRATEGIES, GP_STRATEGIES, StrategyKind, check_truncation
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -69,6 +73,15 @@ def _atomic_write_csv(path: str, header: list[str], rows) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _probe_output(directory: str) -> None:
+    """Create directory and write and remove one temp file in it, so that an
+    output path that cannot be written fails before any seed runs."""
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.close(fd)
+    os.unlink(tmp)
 
 
 def _threads_cap() -> int:
@@ -236,6 +249,8 @@ def _run_seeds(cfg, strategy_name: str) -> list[RunRecord]:
     workers = _max_workers(len(cfg.seeds))
     if workers == 1:
         return list(map(run, cfg.seeds))
+    if StrategyKind.from_name(strategy_name) in GP_STRATEGIES:
+        gp._lapack()  # loaded before the fork, so that the workers share its pages
     # One BLAS thread per worker keeps workers x BLAS threads within the cores.
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
                                                 initializer=_blas.set_threads,
@@ -268,6 +283,7 @@ def cmd_run(config_path: str, overrides: dict | None = None) -> int:
     if cfg is None:
         return EXIT_CONFIG
     try:
+        _probe_output(cfg.output)
         records = _run_seeds(cfg, cfg.strategy)
         header = _run_csv_header(cfg.space)
         for record in records:
@@ -293,6 +309,7 @@ def cmd_compare(config_path: str, overrides: dict | None = None) -> int:
     if cfg is None:
         return EXIT_CONFIG
     try:
+        _probe_output(cfg.output)
         means = {}
         for name in cfg.strategies:
             means[name], _ = _summary(_run_seeds(cfg, name))

@@ -34,6 +34,13 @@ rows differently on different thread counts; so no result depends on the
 thread count. The posterior's products over many candidates keep their threads.
 `GPModel.jitter` reports the diagonal jitter its factor needed (0.0 when none).
 
+The four LAPACK routines (`dpotrf`, `dpotrs`, `dpotri`, `dtrtrs`) come from
+scipy, which `_lapack` imports on the first factorization, not when this
+module is imported: a process that fits no GP never loads scipy (about
+0.17 s and 26 MB on a 2-core Xeon). The import maps scipy's own OpenBLAS, so `_lapack` has `_blas`
+look for OpenBLAS copies again, and `GPModel._factorization` and `fit` call it
+before they enter `_blas.single_thread`, which pins and restores every copy.
+
 Every kernel between two row sets is `_kernel_matrix` of `_pairwise` (d2 and
 the category matches, summed one column at a time, and |dt|): `_kernel_parts`
 builds kxt at d2's width and kht, and `_combine` mixes them, in place where
@@ -68,7 +75,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import _blas
 
@@ -190,20 +196,34 @@ def _prior_variance(theta: np.ndarray, mixed: bool) -> float:
     return _combine(theta[5], theta[3], theta[4] if mixed else None)
 
 
+@functools.cache
+def _lapack():
+    """scipy.linalg.lapack, imported on the first call.
+
+    The import maps scipy's own OpenBLAS, so `_blas` looks for OpenBLAS copies
+    again. Call this before entering `_blas.single_thread`, whose restore
+    needs the same copies on exit as on entry.
+    """
+    from scipy.linalg import lapack
+
+    _blas.discover()
+    return lapack
+
+
 def _chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     """(lower Cholesky factor, jitter added to the diagonal; 0.0 when none).
 
     Reads only the lower triangle of A and leaves A unchanged; the factor's
     upper triangle is zero.
     """
-    L, info = lapack.dpotrf(A, lower=1, clean=1)
+    L, info = _lapack().dpotrf(A, lower=1, clean=1)
     if info == 0:
         return L, 0.0
     jitter = _JITTER_START
     while jitter <= _JITTER_MAX:
         shifted = A.copy()
         shifted.flat[:: len(A) + 1] += jitter
-        L, info = lapack.dpotrf(shifted, lower=1, clean=1, overwrite_a=1)
+        L, info = _lapack().dpotrf(shifted, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return L, jitter
         jitter *= 10.0
@@ -216,9 +236,9 @@ def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not len(b):
         return np.zeros_like(b)  # dtrtrs refuses 0 rows
     if L.flags.f_contiguous:
-        x, info = lapack.dtrtrs(L, b, lower=1)
+        x, info = _lapack().dtrtrs(L, b, lower=1)
     else:
-        x, info = lapack.dtrtrs(L.T, b, lower=0, trans=1)
+        x, info = _lapack().dtrtrs(L.T, b, lower=0, trans=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
     return x
@@ -260,7 +280,8 @@ class GPModel:
         """`_factor`'s (LML, _Factor, alpha) of K + noise*I, factored on first use."""
         # One thread, as in `fit`: OpenBLAS rounds a Cholesky of 128 or
         # more rows differently on different thread counts, and seed
-        # workers run on one.
+        # workers run on one. LAPACK loads first (see `_lapack`).
+        _lapack()
         with _blas.single_thread():
             return _factor(self.theta.as_array(), self._d2, self._match, self._dt, self.y)
 
@@ -445,7 +466,7 @@ def _factor(theta: np.ndarray, d2, match, dt, y: np.ndarray):
     K.flat[:: n + 1] += theta[6]
     L, jitter = _chol_with_jitter(K)
     # dpotrs refuses a 0-row right-hand side; batch acquisition factors an empty model too.
-    alpha = lapack.dpotrs(L, y, lower=1)[0] if n else y
+    alpha = _lapack().dpotrs(L, y, lower=1)[0] if n else y
     lml = float(
         -0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2 * math.pi)
     )
@@ -469,7 +490,7 @@ def _grad(theta: np.ndarray, d2, match, dt, factor: _Factor, alpha: np.ndarray) 
     """
     eps1, eps2, lengthscale, sigma1, sigma2, lam, _ = theta
     L, _, kxt, kht = factor
-    lower, info = lapack.dpotri(L, lower=1)
+    lower, info = _lapack().dpotri(L, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError("dpotri failed on a Cholesky factor")
     # dpotri fills the lower triangle of K^-1 and leaves the upper one zero.
@@ -655,6 +676,7 @@ def fit(data_or_model: GPModel, seed: int = 0) -> GPHyperparams:
 
     starts = (model.theta.as_array(), model.bounds.sample(np.random.default_rng(seed)))
     best_theta, best_f = None, -math.inf
+    _lapack()  # before the block (see `_lapack`)
     with _blas.single_thread():
         for start in starts:
             theta, report = _ascend(start, model.bounds, model._d2, model._match, model._dt,

@@ -1,4 +1,3 @@
-import argparse
 import copy
 import csv
 import json
@@ -48,9 +47,27 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def worker_blas_threads(_cfg, _strategy_name, _seed):
-    # Module level, so that the process pool can pickle it in place of a seed run.
-    return _blas.get_threads()
+def fresh_python(code: str, **env) -> str:
+    """stdout of code run in a new interpreter that imports popbandit from this
+    tree. This test process has scipy loaded already (the test modules import
+    it), so what a popbandit process loads is seen only in a new one."""
+    src = os.path.dirname(os.path.dirname(popbandit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# The thread count of every OpenBLAS the process maps, read from a fresh look
+# at /proc/self/maps, not from `_blas`'s own list of the copies it found.
+MAPPED_OPENBLAS_THREADS = """
+def mapped_openblas_threads():
+    with open('/proc/self/maps') as fh:
+        paths = _blas._openblas_paths(fh)
+    return {path: _blas._control(path)[0]() for path in paths}
+"""
 
 
 @pytest.fixture(autouse=True)
@@ -175,13 +192,36 @@ class TestRunCommand:
         assert len(outputs["1"]) == 3  # two seed files and the summary
         assert outputs["2"] == outputs["1"]
 
-    def test_seed_workers_use_one_blas_thread(self, monkeypatch):
+    def test_seed_workers_use_one_blas_thread(self):
+        # Each worker fits a GP, which imports scipy and maps its OpenBLAS,
+        # then reports every OpenBLAS it maps. Under `random` the parent has
+        # not loaded scipy, so the worker maps scipy's copy after the pin;
+        # under `pb2-mult` the parent loads it before the fork.
         if not _blas.get_threads():
             pytest.skip("no OpenBLAS thread setter found in this process")
-        monkeypatch.setenv("POPBANDIT_THREADS", "2")
-        monkeypatch.setattr(cli, "_run_one_seed", worker_blas_threads)
-        counts = cli._run_seeds(argparse.Namespace(seeds=[0, 1]), "random")
-        assert counts == [[1] * len(_blas.get_threads())] * 2
+        code = MAPPED_OPENBLAS_THREADS + """
+import argparse, json
+import numpy as np
+from popbandit import _blas, cli, gp
+
+def worker(_cfg, _strategy_name, seed):
+    rng = np.random.default_rng(seed)
+    n = 12
+    model = gp.GPModel(rng.uniform(size=(n, 1)), rng.integers(0, 2, size=(n, 1)),
+                       np.arange(n, dtype=float), rng.normal(size=n), gp.GPHyperparams())
+    gp.fit(model)
+    return mapped_openblas_threads()
+
+cli._run_one_seed = worker
+print(json.dumps({name: cli._run_seeds(argparse.Namespace(seeds=[0, 1]), name)
+                  for name in ("random", "pb2-mult")}))
+"""
+        reports = json.loads(fresh_python(code, POPBANDIT_THREADS="2"))
+        for name, workers in reports.items():
+            assert len(workers) == 2, name
+            for threads in workers:
+                assert any("scipy_openblas-" in path for path in threads), (name, threads)
+                assert set(threads.values()) == {1}, (name, threads)
 
     def test_runtime_error_exit_code(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
@@ -191,6 +231,25 @@ class TestRunCommand:
 
         monkeypatch.setattr(cli, "_run_seeds", boom)
         assert cli.main(["run", cfg]) == cli.EXIT_RUNTIME
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_output_under_a_file_fails_before_any_seed(self, tmp_path, monkeypatch, capsys,
+                                                        command):
+        # A regular file where a directory must be: no permission bits involved.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        cfg = write_config(tmp_path, strategies=["random", "pbt"],
+                           output=str(blocker / "out"))
+
+        def must_not_run(*_a, **_k):
+            pytest.fail("a seed ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, "_run_seeds", must_not_run)
+        assert cli.main([command, cfg]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("runtime error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
+        assert blocker.read_text() == "kept"
 
     def test_failed_run_leaves_no_partial_csv(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
@@ -592,21 +651,54 @@ class TestGradcheck:
         assert "pass" not in captured.out
 
 
-class TestImportCost:
-    def test_import_leaves_out_scipy_optimize_and_sparse(self):
-        # Every run, and every seed worker, pays the import at start-up.
-        src = os.path.dirname(os.path.dirname(popbandit.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+class TestLazyScipy:
+    """Only a GP factorization imports scipy, each check in a new interpreter."""
+
+    def test_import_loads_no_scipy(self):
+        # Every run, and every seed worker, pays the import at start-up:
+        # scipy.linalg.lapack alone is about 0.17 s and 26 MB of peak resident memory.
         code = ("import sys, popbandit, popbandit.cli; "
-                "print(*(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        loaded = proc.stdout.split()
-        assert not loaded, (f"importing popbandit loads {loaded}: scipy.optimize (which "
-                            "brings scipy.sparse) adds about 19 MB of resident memory and "
-                            "0.2 s of import time to every run")
+                "print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert fresh_python(code).split() == []
+
+    def test_commands_that_fit_no_gp_load_no_scipy(self, tmp_path):
+        cfg = write_config(tmp_path, strategies=["random", "pbt"], T_rounds=4)
+        (tmp_path / "bad").mkdir()
+        bad = write_config(tmp_path / "bad", strategy="nope")
+        code = f"""
+import json, sys
+from popbandit import cli
+loaded = {{}}
+for argv in (["bandit-sim", "--C", "8", "--B", "2", "--T", "40", "--V", "1", "--seeds", "0", "1"],
+             ["compare", {cfg!r}], ["run", {bad!r}], ["bandit-sim", "--C", "1"]):
+    exit_code = cli.main(argv)
+    loaded[argv[0] + " " + str(exit_code)] = [m for m in sys.modules if m.split('.')[0] == 'scipy']
+print(json.dumps(loaded))
+"""
+        loaded = json.loads(fresh_python(code, POPBANDIT_THREADS="2").splitlines()[-1])
+        assert loaded == {"bandit-sim 0": [], "compare 0": [], "run 2": [], "bandit-sim 2": []}
+
+    def test_blas_finds_scipys_openblas_after_a_gp_run(self, tmp_path):
+        # The first `_blas` call comes before scipy is imported, as a seed
+        # worker's pin does; the pb2-mult run's first fit then maps scipy's
+        # OpenBLAS, which `_blas` must find and pin like the others.
+        if not _blas.get_threads():
+            pytest.skip("no OpenBLAS thread setter found in this process")
+        cfg = write_config(tmp_path, strategy="pb2-mult", seeds=[0], T_rounds=3)
+        code = MAPPED_OPENBLAS_THREADS + f"""
+import json
+from popbandit import _blas, cli
+first = _blas.get_threads()
+assert cli.main(["run", {cfg!r}]) == 0
+with _blas.single_thread():
+    inside = _blas.get_threads()
+print(json.dumps([first, _blas.get_threads(), inside, mapped_openblas_threads()]))
+"""
+        first, after, inside, mapped = json.loads(fresh_python(code).splitlines()[-1])
+        assert any("scipy_openblas-" in path for path in mapped), mapped
+        assert len(first) < len(mapped)
+        assert after == list(mapped.values())  # both in path order
+        assert inside == [1] * len(mapped)
 
 
 class TestBanditSim:

@@ -836,3 +836,41 @@ class TestOpenblasLookup:
             "/site-packages/numpy.libs/libscipy_openblas64_-ff651d7f.so",
             "/usr/lib/x86_64-linux-gnu/openblas-pthread/libblas.so.3",
         ]
+
+
+class TestSetThreads:
+    def test_list_of_the_wrong_length_is_rejected(self, restore_blas_threads):
+        # zip used to drop the surplus silently, or leave a library unset.
+        before = restore_blas_threads
+        for counts in (before[:-1], before + [1]):
+            with pytest.raises(ValueError, match="thread counts"):
+                _blas.set_threads(counts)
+            assert _blas.get_threads() == before
+
+    def test_copy_found_later_gets_the_last_single_count(self, monkeypatch,
+                                                         restore_blas_threads):
+        # Hide one found copy, as if its library were not loaded yet; `discover`
+        # finds it again and pins it to the count the others were last given.
+        _blas.set_threads(2)
+        found = dict(_blas._found)
+        monkeypatch.setattr(_blas, "_found", {path: c for path, c in list(found.items())[1:]})
+        _blas.set_threads(1)
+        assert found[next(iter(found))][0]() == 2
+        _blas.discover()
+        assert list(_blas._found) == list(found)
+        assert _blas.get_threads() == [1] * len(found)
+
+    def test_copy_found_after_a_list_of_counts_keeps_its_own(self, monkeypatch,
+                                                             restore_blas_threads):
+        _blas.set_threads(2)
+        found = dict(_blas._found)
+        monkeypatch.setattr(_blas, "_found", {path: c for path, c in list(found.items())[1:]})
+        _blas.set_threads([1] * (len(found) - 1))
+        _blas.discover()
+        assert _blas.get_threads() == [2] + [1] * (len(found) - 1)
+
+    def test_single_thread_restores_the_single_count(self, restore_blas_threads):
+        _blas.set_threads(2)
+        with _blas.single_thread():
+            assert _blas._pin == 1
+        assert _blas._pin == 2 and _blas.get_threads() == [2] * len(restore_blas_threads)

@@ -32,7 +32,10 @@
 #     B/C = 1/4 dependent rounding carries one arm through chains of about 200
 #     steps, a shape neither smaller job covers.
 # Then compares every CSV and every command's stdout with `diff -r`; exits
-# non-zero on any difference. Writes only into a temporary directory.
+# non-zero on any difference. For each tree it also prints, without comparing
+# them, how many modules `sys.modules` holds after `import popbandit.cli` and
+# whether the C=64 `bandit-sim` job, run in-process, loads scipy. Writes only
+# into a temporary directory.
 set -euo pipefail
 
 rev=${1:-HEAD}
@@ -111,8 +114,30 @@ outputs() {
     mv "$tmp/run" "$tmp/out/$name"
 }
 
+# footprint TREE NAME: the import footprint line of one tree.
+footprint() {
+    (cd "$tmp" && PYTHONPATH=$1/src python3 - "$2" <<'EOF'
+import contextlib
+import io
+import sys
+
+import popbandit.cli
+
+modules = len(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    popbandit.cli.main(["bandit-sim", "--C", "64", "--B", "8", "--T", "2000", "--V", "3",
+                        "--seeds", "0", "1", "2"])
+scipy = any(name.split(".")[0] == "scipy" for name in sys.modules)
+print(f"import footprint of {sys.argv[1]}: {modules} modules after `import popbandit.cli`; "
+      f"bandit-sim loads scipy: {'yes' if scipy else 'no'}")
+EOF
+    )
+}
+
 outputs "$tmp/rev" rev
 outputs "$repo" work
+footprint "$tmp/rev" "$rev"
+footprint "$repo" "the working tree"
 if diff -r "$tmp/out/rev" "$tmp/out/work"; then
     echo "same outputs: $(find "$tmp/out/work" -type f | wc -l) files identical to $rev"
 else
