@@ -10,12 +10,13 @@ Configs are JSON, outputs are CSV. This module owns the config schema: each
 JSON object of a config is checked against its table by `_checked` before any
 seed runs. Floats are printed with 10 significant digits. Files are written
 to a temp path and renamed on success, so a failed run leaves no partial
-output; `run` and `compare` create and test-write the output directory
-before the first seed, so a path that cannot be written fails at once.
-POPBANDIT_THREADS caps parallel seeds; each seed worker runs on one BLAS
-thread. Only a command that fits a GP (`gradcheck`, and `run` or `compare`
-of a pb2-* strategy) imports scipy; for a pb2-* strategy the parent imports
-it before it forks the seed workers.
+output; `run`, `compare` and `bandit-sim --out` create and test-write the
+output directory before they run anything, so a path that cannot be written
+fails at once. POPBANDIT_THREADS caps parallel seeds; each seed worker runs
+on one BLAS thread. Only a command that fits a GP (`gradcheck`, and `run` or
+`compare` of a pb2-* strategy) loads scipy's LAPACK extension (see
+`gp._lapack`); for a pb2-* strategy the parent loads it before it forks the
+seed workers.
 """
 from __future__ import annotations
 
@@ -418,16 +419,22 @@ def cmd_banditsim(C: int, B: int, T: int, V: int, seeds: list[int],
               "seeds", file=sys.stderr)
         return EXIT_CONFIG
     table = bernoulli_swap_table(0.9, 0.1, T, V=V, C=C)
-    result = bandit_sim(table, B, seeds)
-    if out:
-        _atomic_write_csv(
-            out,
-            ["round", "per_round_regret", "cum_regret",
-             *(f"inclusion_{c}" for c in range(C))],
-            ([t + 1, result.per_round_regret[t], result.cum_regret[t],
-              *result.inclusion_freq[t]] for t in range(T)),
-        )
-        print(f"wrote {out}")
+    try:
+        if out:
+            _probe_output(os.path.dirname(os.path.abspath(out)))
+        result = bandit_sim(table, B, seeds)
+        if out:
+            _atomic_write_csv(
+                out,
+                ["round", "per_round_regret", "cum_regret",
+                 *(f"inclusion_{c}" for c in range(C))],
+                ([t + 1, result.per_round_regret[t], result.cum_regret[t],
+                  *result.inclusion_freq[t]] for t in range(T)),
+            )
+            print(f"wrote {out}")
+    except OSError as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     early = float(result.per_round_regret[: max(1, T // 4)].mean())
     late = float(result.per_round_regret[T // 2:].mean())
     # Zero late regret passes, also when early regret is zero as well (C == B).

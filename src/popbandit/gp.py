@@ -35,11 +35,15 @@ thread count. The posterior's products over many candidates keep their threads.
 `GPModel.jitter` reports the diagonal jitter its factor needed (0.0 when none).
 
 The four LAPACK routines (`dpotrf`, `dpotrs`, `dpotri`, `dtrtrs`) come from
-scipy, which `_lapack` imports on the first factorization, not when this
-module is imported: a process that fits no GP never loads scipy (about
-0.17 s and 26 MB on a 2-core Xeon). The import maps scipy's own OpenBLAS, so `_lapack` has `_blas`
-look for OpenBLAS copies again, and `GPModel._factorization` and `fit` call it
-before they enter `_blas.single_thread`, which pins and restores every copy.
+scipy's f2py extension `scipy.linalg._flapack`, which `_lapack` loads on the
+first factorization, not when this module is imported: a process that fits no
+GP never loads scipy. It loads the top-level scipy package and that one
+extension, not the scipy.linalg package: on a 2-core Xeon, 24 modules, 4 MB
+of resident memory and about 0.01 s, where `from scipy.linalg import lapack`
+took 334 modules, 28 MB and about 0.2 s. The load maps scipy's own OpenBLAS,
+so `_lapack` has `_blas` look for OpenBLAS copies again, and
+`GPModel._factorization` and `fit` call it before they enter
+`_blas.single_thread`, which pins and restores every copy.
 
 Every kernel between two row sets is `_kernel_matrix` of `_pairwise` (d2 and
 the category matches, summed one column at a time, and |dt|): `_kernel_parts`
@@ -69,8 +73,12 @@ from __future__ import annotations
 
 import collections
 import functools
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -198,16 +206,31 @@ def _prior_variance(theta: np.ndarray, mixed: bool) -> float:
 
 @functools.cache
 def _lapack():
-    """scipy.linalg.lapack, imported on the first call.
+    """scipy's f2py LAPACK extension, scipy.linalg._flapack, loaded on the first call.
 
-    The import maps scipy's own OpenBLAS, so `_blas` looks for OpenBLAS copies
-    again. Call this before entering `_blas.single_thread`, whose restore
-    needs the same copies on exit as on entry.
+    Only the extension loads, not the scipy.linalg package, whose `__init__`
+    imports some 310 more modules; `scipy.linalg.lapack` re-exports the same
+    routine objects. A module of that name already imported (once anything
+    has imported scipy.linalg) is reused. The load maps scipy's own OpenBLAS,
+    so `_blas` looks for OpenBLAS copies again. Call this before entering
+    `_blas.single_thread`, whose restore needs the same copies on exit as on
+    entry.
     """
-    from scipy.linalg import lapack
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy  # the top-level package only, so that its distributor init runs
 
+        directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        spec = importlib.machinery.PathFinder.find_spec(name, [directory])
+        if spec is None:
+            raise ImportError(f"scipy's LAPACK extension _flapack is not in {directory}",
+                              name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
     _blas.discover()
-    return lapack
+    return module
 
 
 def _chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import popbandit
-from popbandit import _blas, cli
+from popbandit import _blas, cli, gp
 from popbandit.harness import OBJECTIVE_ARGS
 from popbandit.space import ContinuousParam
 
@@ -193,10 +193,10 @@ class TestRunCommand:
         assert outputs["2"] == outputs["1"]
 
     def test_seed_workers_use_one_blas_thread(self):
-        # Each worker fits a GP, which imports scipy and maps its OpenBLAS,
-        # then reports every OpenBLAS it maps. Under `random` the parent has
-        # not loaded scipy, so the worker maps scipy's copy after the pin;
-        # under `pb2-mult` the parent loads it before the fork.
+        # Each worker fits a GP, which loads scipy's LAPACK extension and so
+        # maps scipy's OpenBLAS, then reports every OpenBLAS it maps. Under
+        # `random` the parent has not loaded it, so the worker maps scipy's
+        # copy after the pin; under `pb2-mult` the parent loads it before the fork.
         if not _blas.get_threads():
             pytest.skip("no OpenBLAS thread setter found in this process")
         code = MAPPED_OPENBLAS_THREADS + """
@@ -652,11 +652,14 @@ class TestGradcheck:
 
 
 class TestLazyScipy:
-    """Only a GP factorization imports scipy, each check in a new interpreter."""
+    """Only a GP factorization loads scipy, and then only its LAPACK extension;
+    each check but the last in a new interpreter."""
 
     def test_import_loads_no_scipy(self):
-        # Every run, and every seed worker, pays the import at start-up:
-        # scipy.linalg.lapack alone is about 0.17 s and 26 MB of peak resident memory.
+        # Every run, and every seed worker, would pay the load at start-up: the
+        # top-level scipy package and its LAPACK extension are 24 modules, 4 MB
+        # of resident memory and about 0.01 s on a 2-core Xeon (the whole
+        # scipy.linalg package, 334 modules, 28 MB and about 0.2 s).
         code = ("import sys, popbandit, popbandit.cli; "
                 "print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert fresh_python(code).split() == []
@@ -700,8 +703,62 @@ print(json.dumps([first, _blas.get_threads(), inside, mapped_openblas_threads()]
         assert after == list(mapped.values())  # both in path order
         assert inside == [1] * len(mapped)
 
+    def test_gp_run_loads_the_lapack_extension_alone(self, tmp_path):
+        cfg = write_config(tmp_path, strategy="pb2-mult", seeds=[0], T_rounds=3)
+        code = f"""
+import sys
+from popbandit import cli
+assert cli.main(["run", {cfg!r}]) == 0
+print(*(m for m in sys.modules if m.startswith('scipy.linalg')))
+"""
+        assert fresh_python(code).splitlines()[-1].split() == ["scipy.linalg._flapack"]
+
+    @pytest.mark.parametrize("first", ["scipy.linalg", "popbandit"])
+    def test_lapack_routines_are_scipy_linalg_lapacks(self, first):
+        # Same routine objects, so the same Fortran code and the same bits,
+        # whether scipy.linalg or `_lapack` loads the extension first.
+        code = f"""
+from popbandit import gp
+if {first!r} == "popbandit":
+    gp._lapack()
+import scipy.linalg.lapack
+print(all(getattr(gp._lapack(), name) is getattr(scipy.linalg.lapack, name)
+          for name in ("dpotrf", "dpotrs", "dpotri", "dtrtrs")))
+"""
+        assert fresh_python(code).splitlines()[-1] == "True"
+
+    def test_lapack_extension_not_found_is_import_error(self, monkeypatch):
+        import scipy  # noqa: F401  (found before find_spec is patched)
+
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+        monkeypatch.setattr(gp.importlib.machinery.PathFinder, "find_spec",
+                            lambda *_a, **_k: None)
+        gp._lapack.cache_clear()
+        try:
+            with pytest.raises(ImportError, match=r"_flapack is not in .*linalg"):
+                gp._lapack()
+        finally:
+            gp._lapack.cache_clear()  # the next call reuses the restored module
+
 
 class TestBanditSim:
+    def test_output_under_a_file_fails_before_the_simulation(self, tmp_path, monkeypatch,
+                                                             capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+
+        def must_not_run(*_a, **_k):
+            pytest.fail("the simulation ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, "bandit_sim", must_not_run)
+        rc = cli.main(["bandit-sim", "--T", "20", "--seeds", "0",
+                       "--out", str(blocker / "sim.csv")])
+        assert rc == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("runtime error:")
+        assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+        assert blocker.read_text() == "kept"
+
     def test_runs_and_reports(self, tmp_path, capsys):
         out = str(tmp_path / "sim.csv")
         rc = cli.main(["bandit-sim", "--C", "2", "--B", "1", "--T", "80",

@@ -34,8 +34,10 @@
 # Then compares every CSV and every command's stdout with `diff -r`; exits
 # non-zero on any difference. For each tree it also prints, without comparing
 # them, how many modules `sys.modules` holds after `import popbandit.cli` and
-# whether the C=64 `bandit-sim` job, run in-process, loads scipy. Writes only
-# into a temporary directory.
+# whether the C=64 `bandit-sim` job, run in-process, loads scipy; and, from a
+# second new interpreter, the modules and peak resident memory (`ru_maxrss`)
+# after one short in-process `run` of pb2-mult (sincos, B=4, T=5, one seed),
+# the footprint of the GP fit path. Writes only into a temporary directory.
 set -euo pipefail
 
 rev=${1:-HEAD}
@@ -74,6 +76,10 @@ done
 cat > "$tmp/configs/run-mult-switch.json" <<EOF
 {"space": $sincos_space, "objective": "sincos-switch", "objective_args": {"V": 3},
  "strategy": "pb2-mult", "seeds": [0, 1], "B": 16, "T_rounds": 18}
+EOF
+cat > "$tmp/footprint-pb2.json" <<EOF
+{"space": $sincos_space, "objective": "sincos", "strategy": "pb2-mult",
+ "seeds": [0], "B": 4, "T_rounds": 5, "output": "$tmp/footprint-out"}
 EOF
 cat > "$tmp/configs/run-every-field.json" <<EOF
 {"space": $sincos_space, "objective": "sincos-switch", "objective_args": {"V": 2},
@@ -114,7 +120,7 @@ outputs() {
     mv "$tmp/run" "$tmp/out/$name"
 }
 
-# footprint TREE NAME: the import footprint line of one tree.
+# footprint TREE NAME: the import and GP fit footprint lines of one tree.
 footprint() {
     (cd "$tmp" && PYTHONPATH=$1/src python3 - "$2" <<'EOF'
 import contextlib
@@ -130,6 +136,21 @@ with contextlib.redirect_stdout(io.StringIO()):
 scipy = any(name.split(".")[0] == "scipy" for name in sys.modules)
 print(f"import footprint of {sys.argv[1]}: {modules} modules after `import popbandit.cli`; "
       f"bandit-sim loads scipy: {'yes' if scipy else 'no'}")
+EOF
+    )
+    (cd "$tmp" && PYTHONPATH=$1/src python3 - "$2" "$tmp/footprint-pb2.json" <<'EOF'
+import contextlib
+import io
+import resource
+import sys
+
+import popbandit.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert popbandit.cli.main(["run", sys.argv[2]]) == 0
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(f"GP fit footprint of {sys.argv[1]}: {len(sys.modules)} modules and ru_maxrss "
+      f"{peak_mb:.1f} MB after one short pb2-mult run")
 EOF
     )
 }
