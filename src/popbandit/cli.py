@@ -15,8 +15,8 @@ output directory before they run anything, so a path that cannot be written
 fails at once. POPBANDIT_THREADS caps parallel seeds; each seed worker runs
 on one BLAS thread. Only a command that fits a GP (`gradcheck`, and `run` or
 `compare` of a pb2-* strategy) loads scipy's LAPACK extension (see
-`gp._lapack`); for a pb2-* strategy the parent loads it before it forks the
-seed workers.
+`_blas.lapack`); for a pb2-* strategy the parent loads it before it forks the
+seed workers, so that they share its pages.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -60,8 +61,7 @@ def _fmt(value) -> str:
 
 
 def _atomic_write_csv(path: str, header: list[str], rows) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
+    directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
@@ -128,7 +128,8 @@ _FIELDS = {
     "T_rounds": ((int,), "an integer", _REQUIRED, None),
     "quantile": ((int, float), "a finite number", 0.25, math.isfinite),
     "acquisition": ((dict,), "an object", {}, None),
-    "output": ((str,), "a directory path string", ".", lambda path: "\0" not in path),
+    "output": ((str,), "a nonempty directory path string", ".",
+               lambda path: bool(path) and "\0" not in path),
     # Each is required by its own command, `run` or `compare`.
     "strategy": ((str,), f"one of {_STRATEGY_NAMES}", _OPTIONAL, _STRATEGY_NAMES.__contains__),
     "strategies": ((list,), f"a nonempty list of distinct names from {_STRATEGY_NAMES}",
@@ -251,7 +252,7 @@ def _run_seeds(cfg, strategy_name: str) -> list[RunRecord]:
     if workers == 1:
         return list(map(run, cfg.seeds))
     if StrategyKind.from_name(strategy_name) in GP_STRATEGIES:
-        gp._lapack()  # loaded before the fork, so that the workers share its pages
+        _blas.lapack()  # loaded before the fork, so that the workers share its pages
     # One BLAS thread per worker keeps workers x BLAS threads within the cores.
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
                                                 initializer=_blas.set_threads,
@@ -414,16 +415,18 @@ def cmd_gradcheck(seed: int = 0, n_instances: int = 100) -> int:
 def cmd_banditsim(C: int, B: int, T: int, V: int, seeds: list[int],
                   out: str | None = None) -> int:
     if not (2 <= C and 1 <= B <= C and T >= 1 and 0 <= V < T
-            and _distinct_list_of(lambda s: s >= 0)(seeds)):
+            and _distinct_list_of(lambda s: s >= 0)(seeds) and out != ""):
         print("flag error: require 2<=C, 1<=B<=C, T>=1, 0<=V<T, nonempty distinct non-negative "
-              "seeds", file=sys.stderr)
+              "seeds, and a nonempty --out path", file=sys.stderr)
         return EXIT_CONFIG
     table = bernoulli_swap_table(0.9, 0.1, T, V=V, C=C)
     try:
-        if out:
+        if out is not None:
             _probe_output(os.path.dirname(os.path.abspath(out)))
+            if os.path.isdir(out):  # the rename onto it would fail after the simulation
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
         result = bandit_sim(table, B, seeds)
-        if out:
+        if out is not None:
             _atomic_write_csv(
                 out,
                 ["round", "per_round_regret", "cum_regret",

@@ -35,15 +35,9 @@ thread count. The posterior's products over many candidates keep their threads.
 `GPModel.jitter` reports the diagonal jitter its factor needed (0.0 when none).
 
 The four LAPACK routines (`dpotrf`, `dpotrs`, `dpotri`, `dtrtrs`) come from
-scipy's f2py extension `scipy.linalg._flapack`, which `_lapack` loads on the
-first factorization, not when this module is imported: a process that fits no
-GP never loads scipy. It loads the top-level scipy package and that one
-extension, not the scipy.linalg package: on a 2-core Xeon, 24 modules, 4 MB
-of resident memory and about 0.01 s, where `from scipy.linalg import lapack`
-took 334 modules, 28 MB and about 0.2 s. The load maps scipy's own OpenBLAS,
-so `_lapack` has `_blas` look for OpenBLAS copies again, and
-`GPModel._factorization` and `fit` call it before they enter
-`_blas.single_thread`, which pins and restores every copy.
+scipy's f2py extension `scipy.linalg._flapack`, which `_blas.lapack` loads on
+the first factorization, not when this module is imported: a process that
+fits no GP never loads scipy.
 
 Every kernel between two row sets is `_kernel_matrix` of `_pairwise` (d2 and
 the category matches, summed one column at a time, and |dt|): `_kernel_parts`
@@ -73,12 +67,8 @@ from __future__ import annotations
 
 import collections
 import functools
-import importlib.machinery
-import importlib.util
 import logging
 import math
-import os
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -204,49 +194,20 @@ def _prior_variance(theta: np.ndarray, mixed: bool) -> float:
     return _combine(theta[5], theta[3], theta[4] if mixed else None)
 
 
-@functools.cache
-def _lapack():
-    """scipy's f2py LAPACK extension, scipy.linalg._flapack, loaded on the first call.
-
-    Only the extension loads, not the scipy.linalg package, whose `__init__`
-    imports some 310 more modules; `scipy.linalg.lapack` re-exports the same
-    routine objects. A module of that name already imported (once anything
-    has imported scipy.linalg) is reused. The load maps scipy's own OpenBLAS,
-    so `_blas` looks for OpenBLAS copies again. Call this before entering
-    `_blas.single_thread`, whose restore needs the same copies on exit as on
-    entry.
-    """
-    name = "scipy.linalg._flapack"
-    module = sys.modules.get(name)
-    if module is None:
-        import scipy  # the top-level package only, so that its distributor init runs
-
-        directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-        spec = importlib.machinery.PathFinder.find_spec(name, [directory])
-        if spec is None:
-            raise ImportError(f"scipy's LAPACK extension _flapack is not in {directory}",
-                              name=name)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[name] = module
-    _blas.discover()
-    return module
-
-
 def _chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     """(lower Cholesky factor, jitter added to the diagonal; 0.0 when none).
 
     Reads only the lower triangle of A and leaves A unchanged; the factor's
     upper triangle is zero.
     """
-    L, info = _lapack().dpotrf(A, lower=1, clean=1)
+    L, info = _blas.lapack().dpotrf(A, lower=1, clean=1)
     if info == 0:
         return L, 0.0
     jitter = _JITTER_START
     while jitter <= _JITTER_MAX:
         shifted = A.copy()
         shifted.flat[:: len(A) + 1] += jitter
-        L, info = _lapack().dpotrf(shifted, lower=1, clean=1, overwrite_a=1)
+        L, info = _blas.lapack().dpotrf(shifted, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return L, jitter
         jitter *= 10.0
@@ -259,9 +220,9 @@ def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not len(b):
         return np.zeros_like(b)  # dtrtrs refuses 0 rows
     if L.flags.f_contiguous:
-        x, info = _lapack().dtrtrs(L, b, lower=1)
+        x, info = _blas.lapack().dtrtrs(L, b, lower=1)
     else:
-        x, info = _lapack().dtrtrs(L.T, b, lower=0, trans=1)
+        x, info = _blas.lapack().dtrtrs(L.T, b, lower=0, trans=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
     return x
@@ -303,8 +264,7 @@ class GPModel:
         """`_factor`'s (LML, _Factor, alpha) of K + noise*I, factored on first use."""
         # One thread, as in `fit`: OpenBLAS rounds a Cholesky of 128 or
         # more rows differently on different thread counts, and seed
-        # workers run on one. LAPACK loads first (see `_lapack`).
-        _lapack()
+        # workers run on one.
         with _blas.single_thread():
             return _factor(self.theta.as_array(), self._d2, self._match, self._dt, self.y)
 
@@ -324,11 +284,16 @@ class GPModel:
     def posterior(self, Xq, Hq, tq):
         """Predictive mean and variance at query points (vectorized).
 
-        Hq holds one code per categorical column for each query point; a
-        continuous-only model ignores it. Variance is clamped to >= 0.
+        Xq is (nq, d), one row of continuous values per query point, and Hq
+        holds one code per categorical column for each; a continuous-only
+        model ignores Hq. Variance is clamped to >= 0.
         """
-        Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-        nq, m = len(Xq), self.H.shape[1]
+        Xq = np.asarray(Xq, dtype=float)
+        d, m = self.X.shape[1], self.H.shape[1]
+        if Xq.ndim != 2 or Xq.shape[1] != d:
+            raise ValueError(f"Xq must have shape (nq, {d}), one row per query point; "
+                             f"got {Xq.shape}")
+        nq = len(Xq)
         if m and (Hq is None or np.size(Hq) != nq * m):
             raise ValueError(f"the model has {m} categorical column(s), so Hq needs {m} code(s) "
                              f"per query point; got {Hq if Hq is None else np.shape(Hq)}")
@@ -489,7 +454,7 @@ def _factor(theta: np.ndarray, d2, match, dt, y: np.ndarray):
     K.flat[:: n + 1] += theta[6]
     L, jitter = _chol_with_jitter(K)
     # dpotrs refuses a 0-row right-hand side; batch acquisition factors an empty model too.
-    alpha = _lapack().dpotrs(L, y, lower=1)[0] if n else y
+    alpha = _blas.lapack().dpotrs(L, y, lower=1)[0] if n else y
     lml = float(
         -0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2 * math.pi)
     )
@@ -513,7 +478,7 @@ def _grad(theta: np.ndarray, d2, match, dt, factor: _Factor, alpha: np.ndarray) 
     """
     eps1, eps2, lengthscale, sigma1, sigma2, lam, _ = theta
     L, _, kxt, kht = factor
-    lower, info = _lapack().dpotri(L, lower=1)
+    lower, info = _blas.lapack().dpotri(L, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError("dpotri failed on a Cholesky factor")
     # dpotri fills the lower triangle of K^-1 and leaves the upper one zero.
@@ -699,7 +664,6 @@ def fit(data_or_model: GPModel, seed: int = 0) -> GPHyperparams:
 
     starts = (model.theta.as_array(), model.bounds.sample(np.random.default_rng(seed)))
     best_theta, best_f = None, -math.inf
-    _lapack()  # before the block (see `_lapack`)
     with _blas.single_thread():
         for start in starts:
             theta, report = _ascend(start, model.bounds, model._d2, model._match, model._dt,

@@ -44,7 +44,8 @@ class StrategyKind(enum.Enum):
 
 # Strategies whose categories come from the bandit; they need at least 2 arms.
 BANDIT_STRATEGIES = frozenset({StrategyKind.PB2_MULT, StrategyKind.PB2_MIX})
-# Strategies that fit a GP, and so load scipy's LAPACK extension; random and pbt never do.
+# Strategies that fit a GP, and so load scipy's LAPACK extension (`_blas.lapack`), which
+# `cli` loads before it forks their seed workers; random and pbt never load it.
 GP_STRATEGIES = BANDIT_STRATEGIES | {StrategyKind.PB2_RAND}
 
 

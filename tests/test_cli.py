@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import popbandit
-from popbandit import _blas, cli, gp
+from popbandit import _blas, cli
 from popbandit.harness import OBJECTIVE_ARGS
 from popbandit.space import ContinuousParam
 
@@ -176,7 +176,8 @@ class TestRunCommand:
         # one-thread workers with 2. By round 36 a GP holds over 128
         # observations, where OpenBLAS's Cholesky rounding depends on the
         # thread count; the CSVs must not.
-        before = _blas.get_threads()
+        _blas.get_threads()  # the first lookup sets the count
+        before = _blas._count
         _blas.set_threads(2)
         outputs = {}
         try:
@@ -355,7 +356,7 @@ class TestConfigRejectedAtParseTime:
         self.assert_config_error(tmp_path, capsys, "quantile must be a finite number",
                                  quantile=quantile)
 
-    @pytest.mark.parametrize("output", [5, None, ["out"], True])
+    @pytest.mark.parametrize("output", [5, None, ["out"], True, ""])
     def test_output_not_a_path(self, tmp_path, capsys, output):
         self.assert_config_error(tmp_path, capsys, "config error: output must be", output=output)
 
@@ -703,6 +704,38 @@ print(json.dumps([first, _blas.get_threads(), inside, mapped_openblas_threads()]
         assert after == list(mapped.values())  # both in path order
         assert inside == [1] * len(mapped)
 
+    def test_first_fit_pins_every_openblas_inside_its_block(self):
+        # The process's first fit is what loads scipy's LAPACK, and so maps
+        # scipy's OpenBLAS; `single_thread` must load it before it pins, or
+        # that copy runs the block's factorizations on the count, 2.
+        if not _blas.get_threads():
+            pytest.skip("no OpenBLAS thread setter found in this process")
+        code = MAPPED_OPENBLAS_THREADS + """
+import json
+import numpy as np
+from popbandit import _blas, gp
+_blas.set_threads(2)
+inside = []
+real = gp._factor
+
+def factor(*args):
+    result = real(*args)
+    if not inside:
+        inside.append(mapped_openblas_threads())
+    return result
+
+gp._factor = factor
+rng = np.random.default_rng(0)
+n = 12
+gp.fit(gp.GPModel(rng.uniform(size=(n, 1)), rng.integers(0, 2, size=(n, 1)),
+                  np.arange(n, dtype=float), rng.normal(size=n), gp.GPHyperparams()))
+print(json.dumps([inside[0], mapped_openblas_threads()]))
+"""
+        inside, after = json.loads(fresh_python(code).splitlines()[-1])
+        assert any("scipy_openblas-" in path for path in inside), inside
+        assert set(inside.values()) == {1}, inside
+        assert list(after) == list(inside) and set(after.values()) == {2}, after
+
     def test_gp_run_loads_the_lapack_extension_alone(self, tmp_path):
         cfg = write_config(tmp_path, strategy="pb2-mult", seeds=[0], T_rounds=3)
         code = f"""
@@ -716,13 +749,13 @@ print(*(m for m in sys.modules if m.startswith('scipy.linalg')))
     @pytest.mark.parametrize("first", ["scipy.linalg", "popbandit"])
     def test_lapack_routines_are_scipy_linalg_lapacks(self, first):
         # Same routine objects, so the same Fortran code and the same bits,
-        # whether scipy.linalg or `_lapack` loads the extension first.
+        # whether scipy.linalg or `_blas.lapack` loads the extension first.
         code = f"""
-from popbandit import gp
+from popbandit import _blas
 if {first!r} == "popbandit":
-    gp._lapack()
+    _blas.lapack()
 import scipy.linalg.lapack
-print(all(getattr(gp._lapack(), name) is getattr(scipy.linalg.lapack, name)
+print(all(getattr(_blas.lapack(), name) is getattr(scipy.linalg.lapack, name)
           for name in ("dpotrf", "dpotrs", "dpotri", "dtrtrs")))
 """
         assert fresh_python(code).splitlines()[-1] == "True"
@@ -731,33 +764,43 @@ print(all(getattr(gp._lapack(), name) is getattr(scipy.linalg.lapack, name)
         import scipy  # noqa: F401  (found before find_spec is patched)
 
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
-        monkeypatch.setattr(gp.importlib.machinery.PathFinder, "find_spec",
+        monkeypatch.setattr(_blas.importlib.machinery.PathFinder, "find_spec",
                             lambda *_a, **_k: None)
-        gp._lapack.cache_clear()
+        _blas.lapack.cache_clear()
         try:
             with pytest.raises(ImportError, match=r"_flapack is not in .*linalg"):
-                gp._lapack()
+                _blas.lapack()
         finally:
-            gp._lapack.cache_clear()  # the next call reuses the restored module
+            _blas.lapack.cache_clear()  # the next call reuses the restored module
+
+
+def must_not_run(*_a, **_k):
+    pytest.fail("the simulation ran before the output path was checked")
 
 
 class TestBanditSim:
+    @pytest.mark.parametrize("out", ["blocker/sim.csv", "directory"])
     def test_output_under_a_file_fails_before_the_simulation(self, tmp_path, monkeypatch,
-                                                             capsys):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("kept")
-
-        def must_not_run(*_a, **_k):
-            pytest.fail("the simulation ran before the output directory was checked")
-
+                                                             capsys, out):
+        # A regular file where a directory must be, or a directory where the file must be.
+        (tmp_path / "blocker").write_text("kept")
+        (tmp_path / "directory").mkdir()
         monkeypatch.setattr(cli, "bandit_sim", must_not_run)
         rc = cli.main(["bandit-sim", "--T", "20", "--seeds", "0",
-                       "--out", str(blocker / "sim.csv")])
+                       "--out", str(tmp_path / out)])
         assert rc == cli.EXIT_RUNTIME
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("runtime error:")
-        assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
-        assert blocker.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "directory"]
+        assert (tmp_path / "blocker").read_text() == "kept"
+        assert not any((tmp_path / "directory").iterdir())
+
+    def test_empty_output_path_is_flag_error(self, monkeypatch, capsys):
+        # `if out:` used to run the simulation and write nothing, exit 0.
+        monkeypatch.setattr(cli, "bandit_sim", must_not_run)
+        assert cli.main(["bandit-sim", "--T", "20", "--seeds", "0", "--out", ""]) == \
+            cli.EXIT_CONFIG
+        assert "flag error:" in capsys.readouterr().err
 
     def test_runs_and_reports(self, tmp_path, capsys):
         out = str(tmp_path / "sim.csv")

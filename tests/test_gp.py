@@ -284,6 +284,16 @@ class TestPosterior:
             with pytest.raises(ValueError, match=f"{m} categorical column"):
                 model.posterior(rng.uniform(size=(5, 2)), Hq, 31.0)
 
+    @pytest.mark.parametrize("d, shape", [(1, (3,)), (1, (5, 2)), (2, (5, 1))])
+    def test_rejects_queries_not_nq_by_d(self, d, shape):
+        # atleast_2d used to read a (3,) query as one point and a (5, 2) one
+        # by its first column on a d = 1 model, and to raise IndexError on d = 2.
+        rng = np.random.default_rng(10)
+        X, H, t, y = random_dataset(rng, n=6, d=d, m=0)
+        model = GPModel(X, H, t, y, GPHyperparams())
+        with pytest.raises(ValueError, match=rf"Xq must have shape \(nq, {d}\)"):
+            model.posterior(rng.uniform(size=shape), None, 31.0)
+
     def test_continuous_model_ignores_codes(self):
         rng = np.random.default_rng(9)
         X, H, t, y = random_dataset(rng, n=6, m=0)
@@ -535,11 +545,13 @@ def sincos_dataset(n, seed):
 
 @pytest.fixture
 def restore_blas_threads():
+    """The OpenBLAS copies' thread counts, with the one count set back afterwards."""
     before = _blas.get_threads()
     if not before:
         pytest.skip("no OpenBLAS thread setter found in this process")
+    count = _blas._count
     yield before
-    _blas.set_threads(before)
+    _blas.set_threads(count)
 
 
 class TestFusedAscent:
@@ -839,38 +851,22 @@ class TestOpenblasLookup:
 
 
 class TestSetThreads:
-    def test_list_of_the_wrong_length_is_rejected(self, restore_blas_threads):
-        # zip used to drop the surplus silently, or leave a library unset.
-        before = restore_blas_threads
-        for counts in (before[:-1], before + [1]):
-            with pytest.raises(ValueError, match="thread counts"):
-                _blas.set_threads(counts)
-            assert _blas.get_threads() == before
-
-    def test_copy_found_later_gets_the_last_single_count(self, monkeypatch,
-                                                         restore_blas_threads):
-        # Hide one found copy, as if its library were not loaded yet; `discover`
-        # finds it again and pins it to the count the others were last given.
+    def test_copy_found_later_gets_the_count(self, monkeypatch, restore_blas_threads):
+        # Hide one found copy, as if its library were not loaded yet; the next
+        # lookup finds it again and sets it to the count the others were given.
         _blas.set_threads(2)
         found = dict(_blas._found)
         monkeypatch.setattr(_blas, "_found", {path: c for path, c in list(found.items())[1:]})
         _blas.set_threads(1)
         assert found[next(iter(found))][0]() == 2
-        _blas.discover()
+        _blas._discover()
         assert list(_blas._found) == list(found)
         assert _blas.get_threads() == [1] * len(found)
 
-    def test_copy_found_after_a_list_of_counts_keeps_its_own(self, monkeypatch,
-                                                             restore_blas_threads):
+    def test_single_thread_sets_every_copy_back_to_the_count(self, restore_blas_threads):
         _blas.set_threads(2)
-        found = dict(_blas._found)
-        monkeypatch.setattr(_blas, "_found", {path: c for path, c in list(found.items())[1:]})
-        _blas.set_threads([1] * (len(found) - 1))
-        _blas.discover()
-        assert _blas.get_threads() == [2] + [1] * (len(found) - 1)
-
-    def test_single_thread_restores_the_single_count(self, restore_blas_threads):
-        _blas.set_threads(2)
+        first = next(iter(_blas._found.values()))
+        first[1](1)  # a copy off the count, set behind `_blas`'s back
         with _blas.single_thread():
-            assert _blas._pin == 1
-        assert _blas._pin == 2 and _blas.get_threads() == [2] * len(restore_blas_threads)
+            assert _blas.get_threads() == [1] * len(restore_blas_threads)
+        assert _blas._count == 2 and _blas.get_threads() == [2] * len(restore_blas_threads)

@@ -11,10 +11,11 @@
 # each tree, for BENCHMARK.json's run_seconds, alternating which tree runs
 # first. Each tree runs its own perfbench/, as the benchmark does.
 #
-# Prints every pair's gated (end-to-end) metrics, then per metric each side's
-# median and quartiles, the change of the medians in %, and in how many pairs
-# the working tree read better; and whether `final_regret_by_seed` is
-# identical in every pair. Exits non-zero if a run fails or reports incorrect
+# Prints every pair's gated (end-to-end) metrics, of those that every run
+# reports (cli-compare reports no round or regret metrics), then per metric
+# each side's median and quartiles, the change of the medians in %, and in how
+# many pairs the working tree read better; and whether `final_regret_by_seed`
+# is identical in every pair. Exits non-zero if a run fails or reports incorrect
 # outputs. Writes only into a temporary directory.
 set -euo pipefail
 
@@ -74,6 +75,12 @@ def read(tree, i):
 
 runs = {tree: [read(tree, i) for i in range(1, pairs + 1)] for tree in ("rev", "new")}
 print(f"{workload} --seed {seed}: {pairs} pairs, {rev} (rev) against the working tree (new)")
+# A workload reports only some gated metrics (cli-compare has no round or regret ones).
+reported = [g for g in gated if all(g["name"] in m for tree in runs.values() for m, _ in tree)]
+missing = [g["name"] for g in gated if g not in reported]
+if missing:
+    print(f"  not reported by every run: {', '.join(missing)}")
+gated = reported
 for i in range(pairs):
     cells = [f"{g['name']} {runs['rev'][i][0][g['name']]:.4g}>{runs['new'][i][0][g['name']]:.4g}"
              for g in gated]
