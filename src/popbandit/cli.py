@@ -6,8 +6,9 @@ Subcommands:
   gradcheck   finite-difference verification of the analytic kernel gradients
   bandit-sim  standalone bandit regret diagnostics on a Bernoulli instance
 
-Configs are JSON, outputs are CSV. This module owns the config schema: each
-JSON object of a config is checked against its table by `_checked` before any
+Configs are JSON, outputs are CSV. This module owns only the config schema:
+each JSON object of a config is checked against its table by `_checked`; the
+rules of a run are `harness.check_run`'s, called once per strategy before any
 seed runs. Floats are printed with 10 significant digits. Files are written
 to a temp path and renamed on success, so a failed run leaves no partial
 output; `run`, `compare` and `bandit-sim --out` create and test-write the
@@ -42,10 +43,11 @@ from .harness import (
     RunRecord,
     bandit_sim,
     bernoulli_swap_table,
+    check_run,
     run_experiment,
 )
 from .space import CategoricalParam, ContinuousParam, SearchSpace
-from .strategies import BANDIT_STRATEGIES, GP_STRATEGIES, StrategyKind, check_truncation
+from .strategies import GP_STRATEGIES, StrategyKind
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -201,9 +203,6 @@ def _load_config(path: str, overrides: dict | None, strategy_field: str):
         types, must_be, _, test = _FIELDS[strategy_field]
         cfg = _checked(cfg, {**_FIELDS, strategy_field: (types, must_be, _REQUIRED, test)},
                        "config")
-        if cfg["T_rounds"] < 1:
-            raise ValueError(f"T_rounds must be >= 1, got {cfg['T_rounds']}")
-        check_truncation(cfg["B"], cfg["quantile"])
         cfg["acquisition"] = AcquisitionConfig(
             **_checked(cfg["acquisition"], _ACQUISITION, "acquisition"))
         objective = cfg["objective"]
@@ -211,26 +210,11 @@ def _load_config(path: str, overrides: dict | None, strategy_field: str):
                  for key, typ in OBJECTIVE_ARGS[objective].items()}
         args = _checked(cfg["objective_args"], takes, "objective_args")
         cfg["objective"] = OBJECTIVES[objective](T=cfg["T_rounds"], **args)
-        cfg["space"] = space = _space(cfg["space"])
+        cfg["space"] = _space(cfg["space"])
         names = [cfg["strategy"]] if strategy_field == "strategy" else cfg["strategies"]
         for name in names:
-            if StrategyKind(name) in BANDIT_STRATEGIES and space.n_arms < 2:
-                raise ValueError(f"strategy {name!r} needs at least 2 categorical arms, "
-                                 f"the space has {space.n_arms}")
-        # Both objectives score a config by its first continuous value and first label.
-        if not (space.continuous and space.categorical):
-            raise ValueError(f"objective {objective!r} needs at least one continuous and one "
-                             f"categorical parameter, the space has {len(space.continuous)} "
-                             f"and {len(space.categorical)}")
-        # Regret is taken against f = 1, which needs both labels and cos(0) or sin(pi/2).
-        h, x = space.categorical[0], space.continuous[0]
-        if set(h.choices) != {"sin", "cos"}:
-            raise ValueError(f"objective {objective!r} scores the first categorical's labels, "
-                             f"so its choices must be 'sin' and 'cos', got {list(h.choices)}")
-        if not (x.lower <= 0.0 <= x.upper or x.lower <= math.pi / 2 <= x.upper):
-            raise ValueError(f"objective {objective!r} reaches its optimum 1 only at x = 0 or "
-                             f"pi/2, so the first continuous range must contain one of them, "
-                             f"got [{x.lower!r}, {x.upper!r}]")
+            check_run(cfg["space"], cfg["objective"], StrategyKind.from_name(name), cfg["B"],
+                      cfg["T_rounds"], cfg["quantile"])
         _threads_cap()  # checked here: `_max_workers` reads it only once the seeds run
         return argparse.Namespace(**cfg)
     except (ValueError, TypeError, OSError) as exc:

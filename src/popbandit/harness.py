@@ -72,18 +72,39 @@ class _SinCosEvaluate:
         swapped = sum(1 for s in self.swap_points if round_ >= s) % 2 == 1
         return math.sin(x) if (config.h[0] == "sin") != swapped else math.cos(x)
 
+    @staticmethod
+    def check_space(space: SearchSpace, name: str) -> None:
+        """A ValueError unless objective `name` scores space's configs and can reach 1 there."""
+        if not (space.continuous and space.categorical):
+            raise ValueError(f"objective {name!r} needs at least one continuous and one "
+                             f"categorical parameter, the space has {len(space.continuous)} "
+                             f"and {len(space.categorical)}")
+        # Regret is taken against f = 1, which needs both labels and cos(0) or sin(pi/2).
+        h, x = space.categorical[0], space.continuous[0]
+        if set(h.choices) != {"sin", "cos"}:
+            raise ValueError(f"objective {name!r} scores the first categorical's labels, "
+                             f"so its choices must be 'sin' and 'cos', got {list(h.choices)}")
+        if not (x.lower <= 0.0 <= x.upper or x.lower <= math.pi / 2 <= x.upper):
+            raise ValueError(f"objective {name!r} reaches its optimum 1 only at x = 0 or "
+                             f"pi/2, so the first continuous range must contain one of them, "
+                             f"got [{x.lower!r}, {x.upper!r}]")
+
 
 def sincos_objective() -> SyntheticObjective:
     """f(x, sin) = sin(x), f(x, cos) = cos(x); maximum 1 at every round."""
     return SyntheticObjective("sincos", _SinCosEvaluate(), _optimum_one)
 
 
-def changepoint_objective(V: int, T: int) -> SyntheticObjective:
-    """sin/cos objective whose optimal category swaps at V evenly spaced rounds."""
+def _swap_rounds(V: int, T: int) -> tuple[int, ...]:
+    """The V evenly spaced rounds in 1..T-1 from which the best category or arm changes."""
     if not 0 <= V < T:
         raise ValueError("need 0 <= V < T")
-    swap_points = tuple(T * v // (V + 1) for v in range(1, V + 1))
-    return SyntheticObjective("sincos-switch", _SinCosEvaluate(swap_points), _optimum_one)
+    return tuple(T * v // (V + 1) for v in range(1, V + 1))
+
+
+def changepoint_objective(V: int, T: int) -> SyntheticObjective:
+    """sin/cos objective whose optimal category swaps at V evenly spaced rounds."""
+    return SyntheticObjective("sincos-switch", _SinCosEvaluate(_swap_rounds(V, T)), _optimum_one)
 
 
 OBJECTIVES: dict[str, Callable[..., SyntheticObjective]] = {
@@ -106,6 +127,21 @@ class RunRecord:
     cum_regret: list[float] = field(default_factory=list)
 
 
+def check_run(space: SearchSpace, objective: SyntheticObjective, strategy: StrategyKind,
+              B: int, T_rounds: int, quantile: float) -> int:
+    """How many agents each exploit step replaces; the ValueError of a run that
+    `run_experiment` refuses."""
+    if T_rounds < 1:
+        raise ValueError(f"T_rounds must be >= 1, got {T_rounds}")
+    n_replaced = check_truncation(B, quantile)
+    if strategy in BANDIT_STRATEGIES and space.n_arms < 2:
+        raise ValueError(f"strategy {strategy.value!r} needs at least 2 categorical arms, "
+                         f"the space has {space.n_arms}")
+    if isinstance(objective.evaluate, _SinCosEvaluate):
+        objective.evaluate.check_space(space, objective.name)
+    return n_replaced
+
+
 def run_experiment(
     space: SearchSpace,
     objective: SyntheticObjective,
@@ -118,6 +154,11 @@ def run_experiment(
 ) -> RunRecord:
     """Run the full exploit/explore loop; deterministic given the seed.
 
+    Before any agent is evaluated, `check_run` refuses with a ValueError a
+    run of fewer than 1 round, truncation sets that overlap (see
+    `check_truncation`), a bandit strategy on fewer than 2 arms, and a space
+    that a sin/cos objective cannot score or where it cannot reach its
+    optimum 1 (see `_SinCosEvaluate.check_space`).
     A bandit strategy's `CategoryBandit` learns each round, before the
     exploit step, from the normalized rewards of the agents it drew categories
     for in the round before (see `CategoryBandit.learn`).
@@ -129,7 +170,7 @@ def run_experiment(
     returns as soon as the last round is recorded: no bandit update, exploit
     or explore follows it, since nothing would read their decision.
     """
-    n_replaced = check_truncation(B, quantile)
+    n_replaced = check_run(space, objective, strategy, B, T_rounds, quantile)
     rng = np.random.default_rng(seed)
     acq_cfg = acq_cfg or AcquisitionConfig()
 
@@ -203,8 +244,8 @@ def run_experiment(
 def bernoulli_swap_table(p_best: float, p_worst: float, T: int, V: int = 0,
                          C: int = 2) -> np.ndarray:
     """(T, C) reward-probability table; the best arm rotates at V evenly spaced rounds."""
+    swap_points = _swap_rounds(V, T)
     probs = np.full((T, C), p_worst)
-    swap_points = [T * v // (V + 1) for v in range(1, V + 1)]
     for t in range(T):
         n_swaps = sum(1 for s in swap_points if (t + 1) >= s)
         probs[t, n_swaps % C] = p_best

@@ -1,4 +1,5 @@
 import collections
+import json
 import math
 import pickle
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from popbandit import harness
+from popbandit import cli, harness
 from popbandit.acquisition import AcquisitionConfig
 from popbandit.harness import (
     OBJECTIVES,
@@ -67,9 +68,27 @@ class TestObjectives:
             assert clone.evaluate(cfg, round_) == objective.evaluate(cfg, round_)
         assert clone.optimum(5) == 1.0
 
-    def test_invalid_changepoint_count(self):
-        with pytest.raises(ValueError):
-            changepoint_objective(V=50, T=50)
+
+class TestSwapRounds:
+    """The one change-point schedule of `changepoint_objective` and `bernoulli_swap_table`."""
+
+    @pytest.mark.parametrize("T", [4, 10])
+    @pytest.mark.parametrize("V_of_T", [lambda T: -1, lambda T: T, lambda T: T + 3],
+                             ids=["-1", "T", "T+3"])
+    def test_v_outside_the_rounds_is_refused(self, T, V_of_T):
+        # The table used to build with arm 0 never best (V > T) or with no swap (V = -1).
+        for build in (changepoint_objective, lambda V, T: bernoulli_swap_table(0.9, 0.1, T, V)):
+            with pytest.raises(ValueError, match="need 0 <= V < T"):
+                build(V_of_T(T), T)
+
+    @pytest.mark.parametrize("V, T", [(1, 2), (1, 10), (2, 30), (3, 18), (4, 9), (6, 7)])
+    def test_objective_swaps_where_the_tables_best_arm_moves(self, V, T):
+        objective = changepoint_objective(V, T)
+        table = bernoulli_swap_table(0.9, 0.1, T, V=V)
+        sin_top = Config((math.pi / 2,), ("sin",))
+        sin_best = [objective.evaluate(sin_top, t) > 0.5 for t in range(1, T + 1)]
+        assert sin_best == [bool(table[t, 0] == 0.9) for t in range(T)]
+        assert not all(sin_best)
 
 
 class TestRunExperiment:
@@ -163,6 +182,51 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(sincos_space(), sincos_objective(),
                            StrategyKind.RANDOM, B=1, T_rounds=5)
+
+
+SINCOS_DOC = {"continuous": [{"name": "x", "lower": 0.0, "upper": math.pi / 2}],
+              "categorical": [{"name": "h", "choices": ["sin", "cos"]}]}
+NO_CATEGORICAL_DOC = {"continuous": SINCOS_DOC["continuous"]}
+
+
+class TestRunRefusedBeforeAnyEvaluation:
+    """run_experiment refuses each run that `cli` refuses, with its message."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"T_rounds": 0}, "T_rounds must be >= 1, got 0"),
+        ({"B": 3, "quantile": 0.5}, "quantile 0.5 with B=3: its 2 losers and 2 winners overlap"),
+        ({"strategy": "pb2-mult", "space": NO_CATEGORICAL_DOC},
+         "strategy 'pb2-mult' needs at least 2 categorical arms, the space has 1"),
+        ({"space": NO_CATEGORICAL_DOC}, "objective 'sincos' needs at least one continuous "
+         "and one categorical parameter, the space has 1 and 0"),
+        ({"strategy": "pb2-mult", "space": {**SINCOS_DOC, "categorical": [
+            {"name": "h", "choices": ["a", "b"]}]}},
+         "objective 'sincos' scores the first categorical's labels, so its choices must be "
+         "'sin' and 'cos', got ['a', 'b']"),
+        ({"strategy": "pb2-mult", "objective": "sincos-switch", "space": {
+            **SINCOS_DOC, "continuous": [{"name": "x", "lower": 2.0, "upper": 3.0}]}},
+         "objective 'sincos-switch' reaches its optimum 1 only at x = 0 or pi/2, so the first "
+         "continuous range must contain one of them, got [2.0, 3.0]"),
+    ], ids=["rounds", "overlap", "arms", "no-categorical", "labels", "range"])
+    def test_refused_with_the_config_error_message(self, tmp_path, capsys, monkeypatch,
+                                                   fields, message):
+        doc = {"space": SINCOS_DOC, "objective": "sincos", "strategy": "random", "seeds": [0],
+               "B": 4, "T_rounds": 5, "output": str(tmp_path / "out"), **fields}
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        assert cli.main(["run", str(tmp_path / "config.json")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+        calls = []
+        evaluate = harness._SinCosEvaluate.__call__
+        monkeypatch.setattr(harness._SinCosEvaluate, "__call__",
+                            lambda self, *args: calls.append(args) or evaluate(self, *args))
+        objective = OBJECTIVES[doc["objective"]](T=doc["T_rounds"])
+        with pytest.raises(ValueError) as refused:
+            run_experiment(cli._space(doc["space"]), objective,
+                           StrategyKind.from_name(doc["strategy"]), doc["B"], doc["T_rounds"],
+                           quantile=doc.get("quantile", 0.25), acq_cfg=FAST_ACQ)
+        assert str(refused.value) == message
+        assert calls == []
 
 
 @st.composite

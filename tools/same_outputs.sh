@@ -31,8 +31,12 @@
 #   - `bandit-sim --C 200 --B 50 --T 300 --V 2 --seeds 0 1`, with its CSV: at
 #     B/C = 1/4 dependent rounding carries one arm through chains of about 200
 #     steps, a shape neither smaller job covers.
-# Then compares every CSV and every command's stdout with `diff -r`; exits
-# non-zero on any difference. For each tree it also prints, without comparing
+#   - `run` of one config per rule of a run, each with a single fault, which
+#     the config parser refuses: T_rounds 0; B 3 with quantile 0.5; pb2-mult,
+#     and random, on a space with no categorical; labels a/b; x range [2, 3];
+#     sincos-switch with V = T_rounds. Each one's exit code and stderr are kept.
+# Then compares every CSV, every command's stdout and every refused config's
+# exit code and stderr with `diff -r`; exits non-zero on any difference. For each tree it also prints, without comparing
 # them, how many modules `sys.modules` holds after `import popbandit.cli` and
 # whether the C=64 `bandit-sim` job, run in-process, loads scipy; and, from a
 # second new interpreter, the modules and peak resident memory (`ru_maxrss`)
@@ -45,7 +49,7 @@ repo=$(cd "$(dirname "$0")/.." && pwd)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-mkdir -p "$tmp/rev" "$tmp/configs"
+mkdir -p "$tmp/rev" "$tmp/configs" "$tmp/refused"
 git -C "$repo" archive "$rev" src | tar -x -C "$tmp/rev"
 
 strategies='["random", "pbt", "pb2-rand", "pb2-mult", "pb2-mix"]'
@@ -87,11 +91,27 @@ cat > "$tmp/configs/run-every-field.json" <<EOF
  "quantile": 0.5, "acquisition": {"c1": 0.5, "c2": 0.1, "n_candidates": 300, "n_refine_steps": 3},
  "output": "unused-output"}
 EOF
+no_categorical='{"continuous": [{"name": "x", "lower": 0.0, "upper": 1.5707963267948966}]}'
+refused() {  # refused NAME FIELDS: a config of `run` with FIELDS over a valid base
+    cat > "$tmp/refused/$1.json" <<EOF
+{"space": $sincos_space, "objective": "sincos", "strategy": "random", "seeds": [0],
+ "B": 4, "T_rounds": 5, $2}
+EOF
+}
+refused rounds '"T_rounds": 0'
+refused overlap '"B": 3, "quantile": 0.5'
+refused arms "\"strategy\": \"pb2-mult\", \"space\": $no_categorical"
+refused no-categorical "\"space\": $no_categorical"
+refused labels '"space": {"continuous": [{"name": "x", "lower": 0.0, "upper": 1.0}],
+                "categorical": [{"name": "h", "choices": ["a", "b"]}]}'
+refused range '"space": {"continuous": [{"name": "x", "lower": 2.0, "upper": 3.0}],
+               "categorical": [{"name": "h", "choices": ["sin", "cos"]}]}'
+refused switch-v '"objective": "sincos-switch", "objective_args": {"V": 5}'
 
 # outputs TREE NAME: every job's files under $tmp/out/NAME/threads<N>/<job>/.
 # Both trees write into $tmp/run, so that the paths they print are the same.
 outputs() {
-    local src=$1/src name=$2 threads config job dir command
+    local src=$1/src name=$2 threads config job dir command status
     for threads in 1 2; do
         for config in "$tmp"/configs/*.json; do
             job=$(basename "$config" .json)
@@ -101,6 +121,15 @@ outputs() {
             # From $tmp, so that no popbandit/ in the caller's directory shadows $src.
             (cd "$tmp" && POPBANDIT_THREADS=$threads PYTHONPATH=$src \
                 python3 -m popbandit.cli "$command" "$config" --out "$dir" > "$dir/stdout.txt")
+        done
+        for config in "$tmp"/refused/*.json; do
+            dir=$tmp/run/threads$threads/refused-$(basename "$config" .json)
+            mkdir -p "$dir"
+            status=0  # recorded, since under `set -e` a refusal would end the script
+            (cd "$tmp" && POPBANDIT_THREADS=$threads PYTHONPATH=$src \
+                python3 -m popbandit.cli run "$config" --out "$dir/out" \
+                > "$dir/stdout.txt" 2> "$dir/stderr.txt") || status=$?
+            echo "$status" > "$dir/exit.txt"
         done
         dir=$tmp/run/threads$threads
         mkdir -p "$dir/gradcheck" "$dir/bandit-sim" "$dir/bandit-sim64" "$dir/bandit-sim200"
