@@ -30,6 +30,7 @@ from .space import ContinuousParam
 
 _REFINE_HALF_WIDTH = 0.05  # unit-space window around the best candidate
 _GRID = 16  # points per refinement grid
+_STEPS = np.arange(float(_GRID))
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,14 @@ def _from_unit(u, params):
     return np.array([p.clip(p.lower + v * (p.upper - p.lower)) for v, p in zip(u, params)])
 
 
+def _grid(u, j, lo, hi):
+    """_GRID copies of u whose coordinate j runs from lo to hi: np.linspace's formula and bits."""
+    Xq = np.full((_GRID, len(u)), u)
+    Xq[:, j] = _STEPS * ((hi - lo) / (_GRID - 1)) + lo
+    Xq[-1, j] = hi
+    return Xq
+
+
 def select_batch_continuous(
     model: GPModel,
     params: tuple[ContinuousParam, ...],
@@ -110,8 +119,7 @@ def select_batch_continuous(
         for j in range(d):
             lo, hi = max(0.0, u[j] - _REFINE_HALF_WIDTH), min(1.0, u[j] + _REFINE_HALF_WIDTH)
             for _ in range(cfg.n_refine_steps):
-                Xq = np.tile(u, (_GRID, 1))
-                Xq[:, j] = np.linspace(lo, hi, _GRID)
+                Xq = _grid(u, j, lo, hi)
                 mu, var = posterior.points(Xq, hq)
                 scores = mu + sqrt_beta * np.sqrt(var)
                 best = int(np.argmax(scores))

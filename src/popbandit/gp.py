@@ -19,16 +19,16 @@ The likelihood and its gradient share one factorization (GPML section 5.4.1):
 Cholesky factor L, the jitter it needed and the kernel parts K was built from)
 and alpha = K^-1 y. A `GPModel` keeps that result as its one factorization,
 which its posterior, `log_marginal` and `grad_log_marginal` all read.
-`_grad` takes K^-1 from `dpotri` on L, forms W = alpha alpha^T - K^-1 once,
-and gets each gradient entry as one contraction of W against the kept parts
-and the pairwise d2 and dt (GPML eq. 5.9); no dK/dtheta matrix is built. The
-ascent's line search evaluates only the LML at a candidate and takes the
-gradient only at the point it accepts, from that point's factor and alpha, so
-it factors K once per LML evaluation and never again for the gradient.
-`_chol_with_jitter` is the module's one Cholesky, called only by `_factor`,
-for the fit and the posterior alike. The fit runs on one OpenBLAS thread (see
-`_blas`): its matrices are at most SLIDING_WINDOW wide and factored one after
-another, where a thread pool only adds hand-off cost. A model's factorization
+`_grad` forms W = alpha alpha^T - K^-1 from the lower triangle of K^-1 (`dpotri` on L),
+with no K^-1 matrix, and gets each gradient entry as one contraction of W against the
+kept parts and the pairwise d2 and dt (GPML eq. 5.9); no dK/dtheta matrix is built. The
+ascent's line search evaluates only the LML at a candidate and takes the gradient only
+at a point it accepts and continues from, with that point's factor and alpha, so it
+factors K once per LML evaluation and never again for the gradient. `_chol_with_jitter`,
+on a bitwise symmetric K, is the module's one Cholesky, called only by `_factor`, for
+the fit and the posterior alike. The fit runs on one OpenBLAS thread (see `_blas`): its
+matrices are at most SLIDING_WINDOW wide and factored one after another, where a thread
+pool only adds hand-off cost. A model's factorization
 runs on one thread too, because OpenBLAS rounds a factorization of 128 or more
 rows differently on different thread counts; so no result depends on the
 thread count. The posterior's products over many candidates keep their threads.
@@ -197,17 +197,17 @@ def _prior_variance(theta: np.ndarray, mixed: bool) -> float:
 def _chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     """(lower Cholesky factor, jitter added to the diagonal; 0.0 when none).
 
-    Reads only the lower triangle of A and leaves A unchanged; the factor's
-    upper triangle is zero.
+    A must be bitwise symmetric (every K here is): dpotrf gets A.T, the same matrix in Fortran
+    order, which f2py copies without a transpose. A is left unchanged; L's upper triangle is 0.
     """
-    L, info = _blas.lapack().dpotrf(A, lower=1, clean=1)
+    L, info = _blas.lapack().dpotrf(A.T, lower=1, clean=1)
     if info == 0:
         return L, 0.0
     jitter = _JITTER_START
     while jitter <= _JITTER_MAX:
         shifted = A.copy()
         shifted.flat[:: len(A) + 1] += jitter
-        L, info = _blas.lapack().dpotrf(shifted, lower=1, clean=1, overwrite_a=1)
+        L, info = _blas.lapack().dpotrf(shifted.T, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return L, jitter
         jitter *= 10.0
@@ -477,8 +477,9 @@ def _grad(theta: np.ndarray, d2, match, dt, factor: _Factor, alpha: np.ndarray) 
     """Gradient at theta from the _Factor and alpha = K^-1 y that _factor returned.
 
     Each entry is 1/2 <W, dK/dtheta_i> with W = alpha alpha^T - K^-1 (GPML
-    eq. 5.9), and each dK/dtheta_i is a kept part times d2, dt or a constant.
-    On a continuous-only model the eps2, sigma2 and lam entries stay 0.0.
+    eq. 5.9), and each dK/dtheta_i is a kept part times d2, dt or a constant. W is built with
+    no K^-1 matrix: dpotri's lower triangle is subtracted as its transpose, then below the
+    diagonal. On a continuous-only model the eps2, sigma2 and lam entries stay 0.0.
     """
     eps1, eps2, lengthscale, sigma1, sigma2, lam, _ = theta
     L, _, kxt, kht = factor
@@ -486,16 +487,17 @@ def _grad(theta: np.ndarray, d2, match, dt, factor: _Factor, alpha: np.ndarray) 
     if info != 0:
         raise np.linalg.LinAlgError("dpotri failed on a Cholesky factor")
     # dpotri fills the lower triangle of K^-1 and leaves the upper one zero.
-    Kinv = lower.T + lower
-    Kinv.flat[:: len(alpha) + 1] *= 0.5
-    W = np.outer(alpha, alpha)
-    W -= Kinv
+    W = alpha[:, None] * alpha
+    W -= lower.T
+    np.fill_diagonal(lower, 0.0)
+    W -= lower
     grad = np.zeros(7)
+    grad[6] = 0.5 * np.trace(W)  # dK/d(noise) = I
     # kxt has derivatives -dt/2 kxt/(1 - eps1), d2 kxt/l^2 and kxt/sigma1, and kht
     # likewise in eps2 and sigma2. In a mixed K each part carries the weight
     # (1 - lam) + lam * (the other part).
     if kht is None:
-        Wx = W * kxt
+        Wx = np.multiply(W, kxt, out=W)  # W is not read again
     else:
         Wx = W * ((1.0 - lam) + lam * kht)
         Wx *= kxt
@@ -507,7 +509,6 @@ def _grad(theta: np.ndarray, d2, match, dt, factor: _Factor, alpha: np.ndarray) 
     grad[0] = -0.25 * np.vdot(Wx, dt) / (1.0 - eps1)
     grad[2] = 0.5 * np.vdot(Wx, d2) / lengthscale**2
     grad[3] = 0.5 * np.sum(Wx) / sigma1
-    grad[6] = 0.5 * np.trace(W)  # dK/d(noise) = I
     return grad
 
 
@@ -520,10 +521,10 @@ def grad_log_marginal(model: GPModel) -> np.ndarray:
 
 
 class _AscentReport(NamedTuple):
-    """What one ascent did: the LML it ended at, its iterations (one gradient
-    each), its LML evaluations (one Cholesky each, the start's included), and
-    whether it stopped at a stationary point rather than at max_iter or on a
-    failed line search."""
+    """What one ascent did: the LML it ended at, its iterations, its LML
+    evaluations (one Cholesky each, the start's included), and whether it
+    stopped at a stationary point rather than at max_iter or on a failed line
+    search."""
 
     lml: float
     iterations: int
@@ -557,9 +558,9 @@ def _ascend(theta0, bounds, d2, match, dt, y, max_iter=100):
     goes along the two-loop L-BFGS direction and backtracks by safeguarded
     quadratic interpolation until the Armijo condition holds; only an accepted
     point's gradient is computed, from the factor its LML evaluation kept, so
-    each LML evaluation is one Cholesky and the gradient adds none. A candidate
-    equal to the point it would replace, or to the one just rejected, is not
-    factored.
+    each LML evaluation is one Cholesky and the gradient adds none; the point
+    where it stops flat, on the LML-gain test, gets none. A candidate equal to
+    the point it would replace, or to the one just rejected, is not factored.
 
     Active bounds, as L-BFGS-B treats them (Byrd, Lu, Nocedal & Zhu 1995): a
     coordinate whose z is at or past the edge, |z| >= _EDGE_Z, and whose
@@ -619,15 +620,14 @@ def _ascend(theta0, bounds, d2, match, dt, y, max_iter=100):
             step = min(max(0.5 * slope * step * step / shortfall, 0.1 * step), 0.5 * step)
         else:
             return theta, _AscentReport(f, it, evaluations, False)
+        if fc - f <= _FTOL * max(abs(fc), abs(f), 1.0):  # flat: no gradient needed here
+            return cand, _AscentReport(fc, it + 1, evaluations, True)
         gc = _grad(cand, d2, match, dt, factorc, alphac) * dcand
         s_vec, y_vec = zc - base, np.where(held, 0.0, g - gc)
         sy = float(s_vec @ y_vec)
         if sy > 1e-10 * float(y_vec @ y_vec):  # keep only curvature that is positive
             pairs.append((s_vec, y_vec, 1.0 / sy))
-        flat = fc - f <= _FTOL * max(abs(fc), abs(f), 1.0)
         z, theta, f, g = zc, cand, fc, gc
-        if flat:
-            return theta, _AscentReport(f, it + 1, evaluations, True)
     return theta, _AscentReport(f, max_iter, evaluations, False)
 
 

@@ -107,9 +107,16 @@ def changepoint_objective(V: int, T: int) -> SyntheticObjective:
     return SyntheticObjective("sincos-switch", _SinCosEvaluate(_swap_rounds(V, T)), _optimum_one)
 
 
+def _switch_from_config(T: int, V: int = 1, **_kw) -> SyntheticObjective:
+    """`changepoint_objective` of a config's objective_args V and T_rounds T."""
+    if not 0 <= V < T:
+        raise ValueError(f"objective_args V must be in [0, T_rounds), got V={V} with T_rounds={T}")
+    return changepoint_objective(V, T)
+
+
 OBJECTIVES: dict[str, Callable[..., SyntheticObjective]] = {
     "sincos": lambda **_kw: sincos_objective(),
-    "sincos-switch": lambda T, V=1, **_kw: changepoint_objective(V, T),
+    "sincos-switch": _switch_from_config,
 }
 
 # The keyword arguments each objective takes besides the round count T, and their types.

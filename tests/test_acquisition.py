@@ -1,10 +1,12 @@
+import collections
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from popbandit import acquisition, gp
+from popbandit import _blas, acquisition, gp
 from popbandit.acquisition import AcquisitionConfig, beta, select_batch_continuous
 from popbandit.gp import GPHyperparams, GPModel
 from popbandit.space import ContinuousParam
@@ -560,6 +562,26 @@ class TestRefinement:
         U = np.random.default_rng(7).uniform(size=(cfg.n_candidates, 2))
         assert all(any(x.tobytes() == u.tobytes() for u in U) for x in picks)
 
+    def test_grid_has_the_bits_of_linspace(self):
+        rng = np.random.default_rng(13)
+        u = rng.uniform(size=(4000, 2))
+        half = acquisition._REFINE_HALF_WIDTH
+        spacing = rng.uniform(0.0, 2.0 * half / 15.0, size=4000)
+        windows = [
+            # Random first-level windows, clipped at 0 and at 1 near the edges.
+            *((max(0.0, v - half), min(1.0, v + half)) for v in u[:, 0]),
+            *((max(0.0, v - half), v) for v in half * u[:1000, 0]),
+            *((v, min(1.0, v + half)) for v in 1.0 - half * u[:1000, 0]),
+            # Later levels: one grid spacing either side of a point.
+            *((v - s, v + s) for v, s in zip(u[:, 1], spacing)),
+            (0.3, 0.3), (0.0, 0.0), (1.0, 1.0),  # zero width
+        ]
+        for j in (0, 1):
+            for lo, hi in windows:
+                Xq = acquisition._grid(np.array([0.25, 0.75]), j, lo, hi)
+                assert Xq[:, j].tobytes() == np.linspace(lo, hi, acquisition._GRID).tobytes()
+                assert np.all(Xq[:, 1 - j] == [0.25, 0.75][1 - j])
+
     def test_refinement_moves_off_the_candidates(self):
         moved = [not np.array_equal(best, pick)
                  for best, _, pick, _ in (self.first_pick(80 + s, 1, False, 2) for s in range(8))]
@@ -600,3 +622,38 @@ class TestDefaultPickFindsTheUcbMaximum:
     def test_gap_to_the_grid_maximum(self, d, tolerance):
         gaps = [self.gap(seed, d) for seed in range(20)]
         assert max(gaps) <= tolerance, gaps
+
+
+class TestNoTransposingCopy:
+    """Every matrix handed to LAPACK is already in Fortran order, so f2py copies
+    it plainly, if at all, and never transposes an n x n matrix in a copy."""
+
+    @pytest.mark.parametrize("jittered", [False, True])
+    def test_fit_and_batch_hand_lapack_fortran_matrices(self, monkeypatch, jittered):
+        lapack = _blas.lapack()
+        calls = collections.Counter()  # (routine, Fortran-contiguous) -> calls
+
+        def spied(name):
+            routine = getattr(lapack, name)
+
+            def wrapper(a, *args, **kwargs):
+                calls[name, a.flags.f_contiguous] += 1
+                return routine(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("dpotrf", "dpotrs", "dpotri", "dtrtrs"):
+            monkeypatch.setattr(lapack, name, spied(name))
+        model, params = random_batch_case(5, 2, True, 1e-3, n=60)
+        theta = gp.fit(model, seed=0)
+        if jittered:  # rows twice over and no noise: the factor needs jitter, appends re-factor
+            X, H, t, y = (np.concatenate([a, a]) for a in (model.X, model.H, model.t, model.y))
+            model = GPModel(X, H, t, y, dataclasses.replace(theta, noise=0.0))
+            assert model.jitter > 0.0
+        else:
+            model = GPModel(model.X, model.H, model.t, model.y, theta)
+        fixed_h = [np.array([c]) for c in (0, 1, 0, 1)]
+        select_batch_continuous(model, params, 4, 20, AcquisitionConfig(), np.random.default_rng(3),
+                                fixed_h)
+        for name in ("dpotrf", "dpotrs", "dpotri", "dtrtrs"):
+            assert calls[name, True] > 0
+            assert calls[name, False] == 0, name

@@ -326,6 +326,17 @@ class TestConfigRejectedAtParseTime:
         cfg = write_config(tmp_path, objective="sincos-switch", objective_args={"V": 1})
         assert cli.main(["run", cfg]) == cli.EXIT_OK
 
+    @pytest.mark.parametrize("T_rounds, args, V", [(0, {}, 1), (4, {"V": 4}, 4),
+                                                   (4, {"V": -1}, -1)],
+                             ids=["T_rounds 0, default V", "V = T_rounds", "V -1"])
+    def test_switch_v_outside_the_rounds_names_both_fields(self, tmp_path, capsys, T_rounds,
+                                                           args, V):
+        # Used to print "need 0 <= V < T", which names neither config field.
+        self.assert_config_error(tmp_path, capsys, "config error: objective_args V must be in "
+                                 f"[0, T_rounds), got V={V} with T_rounds={T_rounds}\n",
+                                 objective="sincos-switch", objective_args=args,
+                                 T_rounds=T_rounds)
+
     @pytest.mark.parametrize("seeds", ["ab", [0.5], [-1], [True], [], 3])
     def test_bad_seeds(self, tmp_path, capsys, seeds):
         self.assert_config_error(tmp_path, capsys, "seeds must be", seeds=seeds)

@@ -339,6 +339,38 @@ class TestJitter:
         assert np.all(np.triu(L, 1) == 0.0)
         assert np.allclose(L @ L.T, K + jitter * np.eye(4), atol=1e-12)
 
+    @staticmethod
+    def dpotrf_of_c_ordered(A):
+        """The factor dpotrf gives A as it is stored (C order, so f2py
+        transposes it in a copy), after the same jitter steps."""
+        lapack, jitter = _blas.lapack(), 0.0
+        L, info = lapack.dpotrf(A, lower=1, clean=1)
+        while info != 0:
+            jitter = gp._JITTER_START if jitter == 0.0 else 10.0 * jitter
+            shifted = A.copy()
+            shifted.flat[:: len(A) + 1] += jitter
+            L, info = lapack.dpotrf(shifted, lower=1, clean=1)
+        return L, jitter
+
+    @pytest.mark.parametrize("n", [1, 2, 60, 200])
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_same_bits_as_dpotrf_of_the_c_ordered_matrix(self, n, noise):
+        # With noise 0 every row appears twice, so K is singular and needs jitter.
+        rng = np.random.default_rng(n)
+        X, H, t, _ = random_dataset(rng, n=n if noise else max(n // 2, 1))
+        if noise == 0.0:
+            X, H, t = np.vstack([X, X])[:n], np.vstack([H, H])[:n], np.append(t, t)[:n]
+        theta = random_theta(rng, 2)[0].as_array()
+        K = gp._kernel_matrix(theta, *gp._pairwise(X, H, t, X, H, t))
+        K.flat[:: n + 1] += noise
+        before = K.copy()
+        L, jitter = gp._chol_with_jitter(K)
+        expected, expected_jitter = self.dpotrf_of_c_ordered(K)
+        assert jitter == expected_jitter
+        assert (jitter > 0.0) == (noise == 0.0 and n > 1)
+        assert L.tobytes() == expected.tobytes()
+        assert K.tobytes() == before.tobytes()
+
     def test_well_posed_kernel_reports_none(self):
         rng = np.random.default_rng(6)
         X, H, t, y = random_dataset(rng, n=10)
@@ -480,6 +512,57 @@ class TestGradientOracle:
                 assert g[1] == 0.0 and g[4] == 0.0 and g[5] == 0.0
 
 
+def grad_with_kinv(theta, d2, dt, factor, alpha):
+    """`_grad` as it was written with a K^-1 matrix: dpotri's lower triangle
+    plus its transpose with the diagonal halved, W = np.outer(alpha, alpha) -
+    K^-1, and W * kxt on a continuous-only model."""
+    eps1, eps2, lengthscale, sigma1, sigma2, lam, _ = theta
+    L, _, kxt, kht = factor
+    lower = _blas.lapack().dpotri(L, lower=1)[0]
+    Kinv = lower.T + lower
+    Kinv.flat[:: len(alpha) + 1] *= 0.5
+    W = np.outer(alpha, alpha)
+    W -= Kinv
+    grad = np.zeros(7)
+    if kht is None:
+        Wx = W * kxt
+    else:
+        Wx = W * ((1.0 - lam) + lam * kht)
+        Wx *= kxt
+        Wh = W * ((1.0 - lam) + lam * kxt)
+        Wh *= kht
+        grad[1] = -0.25 * np.vdot(Wh, dt) / (1.0 - eps2)
+        grad[4] = 0.5 * np.sum(Wh) / sigma2
+        grad[5] = 0.5 * np.vdot(W, kxt * kht - kxt - kht)
+    grad[0] = -0.25 * np.vdot(Wx, dt) / (1.0 - eps1)
+    grad[2] = 0.5 * np.vdot(Wx, d2) / lengthscale**2
+    grad[3] = 0.5 * np.sum(Wx) / sigma1
+    grad[6] = 0.5 * np.trace(W)
+    return grad
+
+
+class TestGradWithoutKinv:
+    @pytest.mark.parametrize("n, jittered", [(2, False), (60, False), (200, False), (60, True)])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_same_bits_as_the_kinv_formula(self, n, m, jittered):
+        # Jittered: every row appears twice and the noise is 0, so K is singular.
+        rng = np.random.default_rng(300 + n + m)
+        for _ in range(3):
+            X, H, t, y = random_dataset(rng, n=n // 2 if jittered else n, m=max(m, 1))
+            H = H[:, :m]
+            theta = random_theta(rng, 2)[0].as_array()
+            if jittered:
+                X, H, t, y = np.vstack([X, X]), np.vstack([H, H]), np.append(t, t), np.append(y, y)
+                theta[6] = 0.0
+            d2, match, dt = gp._pairwise(X, H, t, X, H, t)
+            _, factor, alpha = gp._factor(theta, d2, match, dt, y)
+            assert (factor.jitter > 0.0) == jittered
+            kxt = factor.kxt.copy()
+            g = gp._grad(theta, d2, match, dt, factor, alpha)
+            assert g.tobytes() == grad_with_kinv(theta, d2, dt, factor, alpha).tobytes()
+            assert factor.kxt.tobytes() == kxt.tobytes()  # the kept part is not written
+
+
 class TestFit:
     def test_fewer_than_two_returns_the_models_theta(self):
         theta = GPHyperparams(lengthscale=2.5)
@@ -614,6 +697,42 @@ class TestFusedAscent:
             if kind == "grad":
                 assert prev_kind == "lml" and np.array_equal(th, prev_th)
         assert np.array_equal(events[-1][1], theta)
+
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("seed", [38, 41])
+    def test_no_gradient_where_the_ascent_stops_flat(self, monkeypatch, mixed, seed):
+        X, H, t, y = sincos_dataset(40, seed)
+        H = H if mixed else H[:, :0]
+        d2, match, dt = gp._pairwise(X, H, t, X, H, t)
+        events = []  # ("lml", theta, LML) or ("grad", theta, None), in call order
+
+        def factor(theta, *args):
+            result = gp_factor(theta, *args)
+            events.append(("lml", theta.copy(), result[0]))
+            return result
+
+        def grad(theta, *args):
+            events.append(("grad", theta.copy(), None))
+            return gp_grad(theta, *args)
+
+        gp_factor, gp_grad = gp._factor, gp._grad
+        monkeypatch.setattr(gp, "_factor", factor)
+        monkeypatch.setattr(gp, "_grad", grad)
+        theta, report = gp._ascend(GPHyperparams().as_array(), HyperparamBounds.default(1),
+                                   d2, match, dt, y)
+        # It stopped on the LML-gain test at the point it factored last.
+        assert report.converged and report.iterations > 1
+        kind, last, lml = events[-1]
+        assert kind == "lml" and np.array_equal(last, theta) and lml == report.lml
+        accepted = [(th, f) for (k, th, f), (next_kind, _, _) in zip(events, events[1:])
+                    if k == "lml" and next_kind == "grad"]
+        gain = lml - accepted[-1][1]
+        assert gain <= gp._FTOL * max(abs(lml), abs(accepted[-1][1]), 1.0)
+        # One gradient at the start and one at each accepted point but the last.
+        grads = [th for k, th, _ in events if k == "grad"]
+        assert len(grads) == report.iterations
+        assert not any(np.array_equal(th, theta) for th in grads)
 
 
 def noiseless_dataset(n, seed):
