@@ -1,8 +1,8 @@
 """Per-layer timings of the GP fit and of batch acquisition, written as JSON.
 
-    python3 benchmarks/layers.py --out BENCH_<n>.json [--src DIR] [--n 50 200] [--repeats 21]
+    python3 benchmarks/layers.py --out BENCH_<n>.json [--src DIR]
 
-For each n in --n and each shape, continuous-only (d = 1, m = 0) and mixed
+For each n in SIZES and each shape, continuous-only (d = 1, m = 0) and mixed
 (d = 1, m = 1 with two categories), it builds n observations of a sin/cos
 objective over rounds 1..40 and times, in this process, each layer that a
 PB2-style round runs:
@@ -14,12 +14,14 @@ PB2-style round runs:
     candidates_extend  candidates again after one append: one new row of V
     points             _BatchPosterior.points on one 16-point refinement grid
     append             _BatchPosterior.append: one hallucinated row of the factor
+    select             acquisition.select_batch_continuous: one batch of 2 picks, each
+                       a candidate solve and its refinement grids, with one append between
 
 U holds 250 candidates, as `AcquisitionConfig` draws by default. The layers
 after `fit` use the fitted theta. `factor` and `grad` run on one OpenBLAS
 thread, as inside `fit`; the posterior layers run on the process's count.
 
-Each layer runs --repeats times. A pure-Python reference loop, the one
+Each layer runs REPEATS times. A pure-Python reference loop, the one
 perfbench/run.py times, runs before and after each layer's repeats; a layer's
 `ref` is its median time divided by the mean of those two references, which
 cancels the host's speed swings, and `ms` is its median wall time. The file
@@ -44,9 +46,12 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 REF_WINDOW_S = 0.4
 REF_LOOP = 100_000  # the loop of perfbench/run.py's reference_s
+SIZES = (50, 200)
+REPEATS = 21
 N_CANDIDATES = 250
 GRID = 16
-LAYERS = ("factor", "grad", "fit", "candidates_first", "candidates_extend", "points", "append")
+LAYERS = ("factor", "grad", "fit", "candidates_first", "candidates_extend", "points", "append",
+          "select")
 
 
 def reference_s() -> float:
@@ -62,11 +67,11 @@ def reference_s() -> float:
     return statistics.median(times)
 
 
-def timed(setup, run, repeats: int) -> dict:
-    """{"ref", "ms"} of run(setup()) over repeats; only run is timed."""
+def timed(setup, run) -> dict:
+    """{"ref", "ms"} of run(setup()) over REPEATS repeats; only run is timed."""
     before = reference_s()
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         state = setup()
         t0 = time.perf_counter()
         run(state)
@@ -87,20 +92,20 @@ def dataset(n: int, mixed: bool):
     return X, H if mixed else H[:, :0], t, y
 
 
-def measure_shape(gp, _blas, n: int, mixed: bool, repeats: int) -> dict:
+def measure_shape(popbandit, n: int, mixed: bool) -> dict:
     """This shape's fitted theta, its LML and the timing of each of LAYERS."""
+    gp, _blas = popbandit.gp, popbandit._blas
     X, H, t, y = dataset(n, mixed)
     model = gp.GPModel(X, H, t, y, gp.GPHyperparams())
-    timings = {"fit": timed(lambda: model, lambda m: gp.fit(m, seed=0), repeats)}
+    timings = {"fit": timed(lambda: model, lambda m: gp.fit(m, seed=0))}
     theta = gp.fit(model, seed=0)
     fitted = gp.GPModel(X, H, t, y, theta)
     theta_arr, parts = theta.as_array(), (fitted._d2, fitted._match, fitted._dt)
     with _blas.single_thread():
-        timings["factor"] = timed(lambda: None, lambda _: gp._factor(theta_arr, *parts, y),
-                                  repeats)
+        timings["factor"] = timed(lambda: None, lambda _: gp._factor(theta_arr, *parts, y))
         _, factor, alpha = gp._factor(theta_arr, *parts, y)
         timings["grad"] = timed(lambda: None,
-                                lambda _: gp._grad(theta_arr, *parts, factor, alpha), repeats)
+                                lambda _: gp._grad(theta_arr, *parts, factor, alpha))
 
     U = np.random.default_rng(1).uniform(size=(N_CANDIDATES, 1))
     h = np.array([0]) if mixed else None
@@ -117,42 +122,44 @@ def measure_shape(gp, _blas, n: int, mixed: bool, repeats: int) -> dict:
         posterior.append(x, h)
         return posterior
 
-    timings["candidates_first"] = timed(batch, lambda p: p.candidates(h), repeats)
-    timings["candidates_extend"] = timed(batch_with_set_and_append, lambda p: p.candidates(h),
-                                         repeats)
-    timings["points"] = timed(batch, lambda p: p.points(grid, h), repeats)
-    timings["append"] = timed(batch, lambda p: p.append(x, h), repeats)
+    timings["candidates_first"] = timed(batch, lambda p: p.candidates(h))
+    timings["candidates_extend"] = timed(batch_with_set_and_append, lambda p: p.candidates(h))
+    timings["points"] = timed(batch, lambda p: p.points(grid, h))
+    timings["append"] = timed(batch, lambda p: p.append(x, h))
+    params = (popbandit.ContinuousParam("x", 0.0, 1.0),)
+    timings["select"] = timed(
+        lambda: np.random.default_rng(2),
+        lambda rng: popbandit.select_batch_continuous(
+            fitted, params, 2, int(t[-1]), popbandit.AcquisitionConfig(), rng,
+            fixed_h=None if h is None else [h, h]))
     return {"n": n, "d": 1, "m": H.shape[1], "fit_lml": gp.log_marginal(fitted),
             "theta": [float(v) for v in theta_arr],
             "timings": {layer: timings[layer] for layer in LAYERS}}
 
 
 def load_popbandit(src: Path):
-    """(popbandit.gp, popbandit._blas), imported from src."""
+    """The popbandit package, imported from src."""
     if not (src / "popbandit" / "__init__.py").is_file():
         sys.exit(f"layers: no popbandit sources under {src}")
     sys.path.insert(0, str(src))
-    import popbandit
-    from popbandit import _blas, gp
+    import popbandit  # its __init__ imports gp, and gp imports _blas
 
     if src.resolve() not in Path(popbandit.__file__).resolve().parents:
         sys.exit(f"layers: imported popbandit from {popbandit.__file__}, not {src}")
-    return gp, _blas
+    return popbandit
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding popbandit/")
-    parser.add_argument("--n", type=int, nargs="+", default=[50, 200])
-    parser.add_argument("--repeats", type=int, default=21)
     args = parser.parse_args(argv)
-    gp, _blas = load_popbandit(Path(args.src))
-    _blas.lapack()  # maps scipy's OpenBLAS, so that every copy's count is read below
+    popbandit = load_popbandit(Path(args.src))
+    popbandit._blas.lapack()  # maps scipy's OpenBLAS, so that every copy's count is read below
     import scipy
 
     shapes = {f"n{n}-{'mixed' if mixed else 'continuous'}": (n, mixed)
-              for n in args.n for mixed in (False, True)}
+              for n in SIZES for mixed in (False, True)}
     report = {
         "environment": {
             "src": os.path.relpath(Path(args.src).resolve(), ROOT),
@@ -160,11 +167,11 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "nproc": os.cpu_count(),
-            "blas_threads": _blas.get_threads(),
+            "blas_threads": popbandit._blas.get_threads(),
         },
-        "settings": {"repeats": args.repeats, "n_candidates": N_CANDIDATES, "grid": GRID,
+        "settings": {"repeats": REPEATS, "n_candidates": N_CANDIDATES, "grid": GRID,
                      "ref_loop": REF_LOOP},
-        "shapes": {name: measure_shape(gp, _blas, n, mixed, args.repeats)
+        "shapes": {name: measure_shape(popbandit, n, mixed)
                    for name, (n, mixed) in shapes.items()},
     }
     report["environment"]["ref_ms"] = 1e3 * reference_s()

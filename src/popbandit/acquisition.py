@@ -75,7 +75,8 @@ def _from_unit(u, params):
 
 
 def _grid(u, j, lo, hi):
-    """_GRID copies of u whose coordinate j runs from lo to hi: np.linspace's formula and bits."""
+    """_GRID copies of u, coordinate j from lo to hi by np.linspace's formula: its bits unless
+    (hi - lo) / (_GRID - 1) underflows to 0 from a nonzero width, where linspace divides last."""
     Xq = np.full((_GRID, len(u)), u)
     Xq[:, j] = _STEPS * ((hi - lo) / (_GRID - 1)) + lo
     Xq[-1, j] = hi

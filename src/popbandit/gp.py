@@ -19,19 +19,18 @@ The likelihood and its gradient share one factorization (GPML section 5.4.1):
 Cholesky factor L, the jitter it needed and the kernel parts K was built from)
 and alpha = K^-1 y. A `GPModel` keeps that result as its one factorization,
 which its posterior, `log_marginal` and `grad_log_marginal` all read.
-`_grad` forms W = alpha alpha^T - K^-1 from the lower triangle of K^-1 (`dpotri` on L),
-with no K^-1 matrix, and gets each gradient entry as one contraction of W against the
-kept parts and the pairwise d2 and dt (GPML eq. 5.9); no dK/dtheta matrix is built. The
-ascent's line search evaluates only the LML at a candidate and takes the gradient only
-at a point it accepts and continues from, with that point's factor and alpha, so it
-factors K once per LML evaluation and never again for the gradient. `_chol_with_jitter`,
-on a bitwise symmetric K, is the module's one Cholesky, called only by `_factor`, for
-the fit and the posterior alike. The fit runs on one OpenBLAS thread (see `_blas`): its
-matrices are at most SLIDING_WINDOW wide and factored one after another, where a thread
-pool only adds hand-off cost. A model's factorization
-runs on one thread too, because OpenBLAS rounds a factorization of 128 or more
-rows differently on different thread counts; so no result depends on the
-thread count. The posterior's products over many candidates keep their threads.
+`_grad` forms W = alpha alpha^T - K^-1 from the lower triangle of K^-1 (`dpotri` on L), with
+no K^-1 matrix, and gets each gradient entry as one contraction of W against the kept parts
+and the pairwise d2 and dt (GPML eq. 5.9); no dK/dtheta matrix is built. The ascent's line
+search evaluates only the LML at a candidate and takes the gradient only at a point it
+accepts and continues from, with that point's factor and alpha, so it factors K once per LML
+evaluation and never again for the gradient. `_chol_with_jitter`, on a bitwise symmetric K,
+is the module's one Cholesky, called only by `_factor`, for the fit and the posterior alike.
+The fit runs on one OpenBLAS thread (see `_blas`): its matrices are at most SLIDING_WINDOW
+wide and factored one after another, where a thread pool only adds hand-off cost. A model's
+factorization runs on one thread too, because OpenBLAS rounds a factorization of 128 or more
+rows differently on different thread counts; so no result depends on the thread count. The
+posterior's products over many candidates keep their threads.
 `GPModel.jitter` reports the diagonal jitter its factor needed (0.0 when none).
 
 The four LAPACK routines (`dpotrf`, `dpotrs`, `dpotri`, `dtrtrs`) come from
@@ -521,10 +520,9 @@ def grad_log_marginal(model: GPModel) -> np.ndarray:
 
 
 class _AscentReport(NamedTuple):
-    """What one ascent did: the LML it ended at, its iterations, its LML
-    evaluations (one Cholesky each, the start's included), and whether it
-    stopped at a stationary point rather than at max_iter or on a failed line
-    search."""
+    """What one ascent did: the LML it ended at, its iterations, its LML evaluations (one
+    Cholesky each, the start's included), and whether it stopped at a stationary point
+    rather than at max_iter or on a failed line search."""
 
     lml: float
     iterations: int

@@ -109,9 +109,10 @@ def changepoint_objective(V: int, T: int) -> SyntheticObjective:
 
 def _switch_from_config(T: int, V: int = 1, **_kw) -> SyntheticObjective:
     """`changepoint_objective` of a config's objective_args V and T_rounds T."""
-    if not 0 <= V < T:
-        raise ValueError(f"objective_args V must be in [0, T_rounds), got V={V} with T_rounds={T}")
-    return changepoint_objective(V, T)
+    try:
+        return changepoint_objective(V, T)
+    except ValueError:  # _swap_rounds refused V, T: say it in the config's fields
+        raise ValueError(f"objective_args V={V} must be in [0, T_rounds={T})") from None
 
 
 OBJECTIVES: dict[str, Callable[..., SyntheticObjective]] = {

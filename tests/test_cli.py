@@ -332,8 +332,8 @@ class TestConfigRejectedAtParseTime:
     def test_switch_v_outside_the_rounds_names_both_fields(self, tmp_path, capsys, T_rounds,
                                                            args, V):
         # Used to print "need 0 <= V < T", which names neither config field.
-        self.assert_config_error(tmp_path, capsys, "config error: objective_args V must be in "
-                                 f"[0, T_rounds), got V={V} with T_rounds={T_rounds}\n",
+        self.assert_config_error(tmp_path, capsys, f"config error: objective_args V={V} must "
+                                 f"be in [0, T_rounds={T_rounds})\n",
                                  objective="sincos-switch", objective_args=args,
                                  T_rounds=T_rounds)
 

@@ -12,8 +12,10 @@ def test_report_keys(tmp_path, monkeypatch):
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     monkeypatch.setattr(layers, "REF_WINDOW_S", 0.0)  # one reference loop each
+    monkeypatch.setattr(layers, "SIZES", (12,))
+    monkeypatch.setattr(layers, "REPEATS", 1)
     out = tmp_path / "bench.json"
-    assert layers.main(["--out", str(out), "--n", "12", "--repeats", "1"]) == 0
+    assert layers.main(["--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert set(report) == {"environment", "settings", "shapes"}
     assert {"src", "python", "numpy", "scipy", "nproc", "blas_threads",
